@@ -2,7 +2,9 @@
 // round-trip tests and the bench-report schema checker to validate what the
 // tree itself emits. Not a general-purpose library: no \uXXXX decoding
 // (escapes are kept verbatim in the string value), numbers parse via
-// strtod, objects preserve insertion order.
+// strtod, objects preserve insertion order. Nesting is capped at
+// kMaxDepth so hostile input fails with a typed error instead of
+// overflowing the stack.
 #pragma once
 
 #include <cctype>
@@ -44,6 +46,10 @@ class JsonParseError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Deepest array/object nesting parse() accepts (the tree's own reports
+/// nest at most 6 levels); one level deeper throws JsonParseError.
+inline constexpr int kMaxDepth = 256;
+
 namespace detail {
 
 class Parser {
@@ -60,6 +66,7 @@ class Parser {
  private:
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // open arrays/objects around pos_
 
   [[noreturn]] void fail(const std::string& what) const {
     throw JsonParseError("JSON parse error at offset " +
@@ -93,8 +100,14 @@ class Parser {
     skip_ws();
     char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (++depth_ > kMaxDepth) fail("nesting deeper than " +
+                                       std::to_string(kMaxDepth));
+        JsonValue v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return parse_string();
       case 't':
       case 'f': {

@@ -1,9 +1,9 @@
 // Shared RV32IM instruction decoder.
 //
-// Exactly one decoder exists for the whole tree: the dynamic engines
-// (Rv32Cpu::run fast path and its decode cache) and the static binary
-// analyzer (analysis/rv32static linear sweep) both consume DecodedInsn
-// produced by decode_rv32() below. Keeping the decode in one header makes
+// Exactly one decoder exists for the whole tree: the bytecode engine
+// (Rv32Cpu::run, which rewrites each decoded word into a BcOp when it
+// caches a page) and the static binary analyzer (analysis/rv32static
+// linear sweep) both consume DecodedInsn produced by decode_rv32() below. Keeping the decode in one header makes
 // divergence between "what executes" and "what the analyzer reasons
 // about" structurally impossible -- a soundness precondition for the
 // static constant-time/PMP lint, pinned by the regression corpus in
@@ -260,7 +260,7 @@ constexpr std::uint32_t access_bytes(OpKind k) {
 // The bytecode engine (Rv32Cpu::run with Rv32Engine::kBytecode) rewrites
 // each decoded page into one BcOp per 4-byte slot: a handler byte indexing
 // the dispatch table plus pre-extracted operands, so the hot loop touches
-// exactly one 12-byte record per dispatch. A decode-time fusion pass
+// exactly one record per dispatch. A decode-time fusion pass
 // additionally recognizes adjacent pairs (lui+addi, auipc+addi, auipc+lw,
 // cmp/addi+branch-on-zero) and emits a fused handler in the FIRST slot of
 // the pair; the second slot always keeps its own unfused bytecode, so a

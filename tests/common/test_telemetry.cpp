@@ -1,10 +1,10 @@
 // Telemetry layer: registry semantics, histogram bucketing, deterministic
 // counters under every supported thread count, chrome-trace export
-// round-trip, concurrent span recording vs export (the tsan lane), and the
-// kill-switch macros.
+// round-trip, concurrent span recording vs export (the tsan lane), the
+// kill-switch macros and the JSON reader's nesting limit.
 //
 // The file compiles in both build flavors: with CONVOLVE_TELEMETRY=OFF only
-// the macro no-op tests remain, which is itself the test -- the macros must
+// the macro no-op tests (and the JSON test) remain; the macros must
 // vanish without dragging any telemetry symbol into the binary (pinned by
 // the nm check in telemetry_off_smoke).
 #include "convolve/common/telemetry.hpp"
@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -58,6 +59,28 @@ TEST(TelemetryMacros, EventMacrosCompileBothFlavors) {
 #else
   EXPECT_EQ(evaluated, 0);
 #endif
+}
+
+// The tools parse untrusted report files with the recursive-descent JSON
+// parser: nesting past its fixed limit must throw the typed error instead
+// of recursing until the stack overflows, for arrays and objects alike.
+TEST(TelemetryJson, NestingLimitThrowsTypedError) {
+  const auto arrays = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  const auto objects = [](int depth) {
+    std::string s;
+    for (int i = 0; i < depth; ++i) s += "{\"k\":";
+    return s + "0" + std::string(static_cast<std::size_t>(depth), '}');
+  };
+  EXPECT_TRUE(json::parse(arrays(json::kMaxDepth)).is_array());
+  EXPECT_TRUE(json::parse(objects(json::kMaxDepth)).is_object());
+  EXPECT_THROW(json::parse(arrays(json::kMaxDepth + 1)),
+               json::JsonParseError);
+  EXPECT_THROW(json::parse(objects(json::kMaxDepth + 1)),
+               json::JsonParseError);
+  EXPECT_THROW(json::parse(std::string(200000, '[')), json::JsonParseError);
 }
 
 #if CONVOLVE_TELEMETRY_ENABLED
