@@ -6,6 +6,8 @@
 // Keccak/AES and its bootrom/stack findings.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "convolve/crypto/aead.hpp"
 #include "convolve/crypto/aes.hpp"
 #include "convolve/crypto/chacha20.hpp"
@@ -27,6 +29,16 @@ void BM_Sha3_256_1KiB(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha3_256_1KiB);
 
+// The enclave-measurement hash: create_enclave runs SHA3-512 over the
+// 256 KiB image.
+void BM_Sha3_512_256KiB(benchmark::State& state) {
+  const Bytes data(256 * 1024, 0x5a);
+  for (auto _ : state) benchmark::DoNotOptimize(sha3_512(data));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          256 * 1024);
+}
+BENCHMARK(BM_Sha3_512_256KiB);
+
 void BM_Sha512_1KiB(benchmark::State& state) {
   const Bytes data(1024, 0x5a);
   for (auto _ : state) benchmark::DoNotOptimize(sha512(data));
@@ -43,6 +55,16 @@ void BM_Aes256_Block(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Aes256_Block);
+
+// The sealed body: seal and unseal run AES-256-CTR over 4 KiB.
+void BM_Aes256Ctr_4KiB(benchmark::State& state) {
+  const Bytes key(32, 1), nonce(12, 2), data(4096, 0x33);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(aes256_ctr(key, nonce, 0, data));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 4096);
+}
+BENCHMARK(BM_Aes256Ctr_4KiB);
 
 void BM_ChaCha20_1KiB(benchmark::State& state) {
   const Bytes key(32, 2), nonce(12, 3), data(1024, 0);
@@ -77,6 +99,16 @@ void BM_MlDsa44_Sign(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(dilithium::sign(kp.sk, msg));
 }
 BENCHMARK(BM_MlDsa44_Sign);
+
+// What attest runs: the SM expands its key once at install.
+void BM_MlDsa44_SignExpanded(benchmark::State& state) {
+  const auto kp = dilithium::keygen(Bytes(32, 5));
+  const auto key = std::make_unique<dilithium::SigningKey>(
+      dilithium::expand_signing_key(kp.sk));
+  const Bytes msg(64, 8);
+  for (auto _ : state) benchmark::DoNotOptimize(dilithium::sign(*key, msg));
+}
+BENCHMARK(BM_MlDsa44_SignExpanded);
 
 void BM_MlDsa44_Verify(benchmark::State& state) {
   const auto kp = dilithium::keygen(Bytes(32, 5));

@@ -156,6 +156,52 @@ LintResult lint_aes256() {
   return finish("aes256", guard.sink(), matches);
 }
 
+LintResult lint_aes256_ctr() {
+  std::array<std::uint8_t, 32> key{};
+  std::array<std::uint8_t, 12> nonce{};
+  std::vector<std::uint8_t> data(100);  // a full pass plus a partial one
+  for (std::size_t i = 0; i < key.size(); ++i) key[i] = pattern(i, 0x6b);
+  for (std::size_t i = 0; i < nonce.size(); ++i) nonce[i] = pattern(i, 0x19);
+  for (std::size_t i = 0; i < data.size(); ++i) data[i] = pattern(i, 0xc1);
+  // The 32-bit counter wraps inside the first four-block pass.
+  const std::uint32_t counter = 0xfffffffeu;
+
+  const Bytes want = crypto::aes256_ctr(key, nonce, counter, data);
+
+  ScopedTaintSink guard;
+  TaintScope scope("aes256-ctr");
+
+  constexpr int kRounds = 14;
+  std::array<T8, 32> tkey;
+  for (std::size_t i = 0; i < key.size(); ++i) tkey[i] = T8::secret(key[i]);
+  std::array<T8, 16 * (kRounds + 1)> round_keys;
+  std::array<T64, 8 * (kRounds + 1)> rk_planes;
+  {
+    TaintScope s("key-slice");
+    cd::aes_key_expand(tkey.data(), std::size_t{8}, kRounds,
+                       round_keys.data());
+    cd::aes_slice_round_keys(round_keys.data(), kRounds, rk_planes.data());
+  }
+
+  std::array<T8, 12> tnonce;
+  for (std::size_t i = 0; i < nonce.size(); ++i) tnonce[i] = T8(nonce[i]);
+  bool matches = true;
+  {
+    TaintScope s("keystream");
+    std::uint32_t ctr = counter;
+    for (std::size_t off = 0; off < data.size(); off += 64, ctr += 4) {
+      std::array<T8, 64> keystream;
+      cd::aes_ctr_keystream4(rk_planes.data(), kRounds, tnonce.data(), ctr,
+                             keystream.data());
+      for (std::size_t i = 0; i < 64 && off + i < data.size(); ++i) {
+        const T8 out = T8(data[off + i]) ^ keystream[i];
+        matches = matches && out.value() == want[off + i] && out.tainted();
+      }
+    }
+  }
+  return finish("aes256-ctr", guard.sink(), matches);
+}
+
 LintResult lint_chacha20() {
   std::array<std::uint8_t, 32> key{};
   std::array<std::uint8_t, 12> nonce{};
@@ -360,8 +406,9 @@ LintResult lint_dilithium_ntt() {
 }
 
 std::vector<LintResult> lint_all() {
-  return {lint_aes256(),       lint_chacha20(),  lint_keccak_f1600(),
-          lint_hmac_sha512(),  lint_kyber_ntt(), lint_dilithium_ntt()};
+  return {lint_aes256(),      lint_aes256_ctr(), lint_chacha20(),
+          lint_keccak_f1600(), lint_hmac_sha512(), lint_kyber_ntt(),
+          lint_dilithium_ntt()};
 }
 
 }  // namespace convolve::analysis

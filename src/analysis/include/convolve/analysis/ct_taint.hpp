@@ -259,6 +259,9 @@ struct LintResult {
 };
 
 LintResult lint_aes256();
+/// AES-256-CTR's bit-plane core: key expansion, round-key slicing and the
+/// four-block keystream on Tainted<std::uint64_t> planes, secret key.
+LintResult lint_aes256_ctr();
 LintResult lint_chacha20();
 LintResult lint_keccak_f1600();
 LintResult lint_hmac_sha512();

@@ -3,12 +3,13 @@
 // tree itself emits. Not a general-purpose library: no \uXXXX decoding
 // (escapes are kept verbatim in the string value), numbers parse via
 // strtod, objects preserve insertion order. Nesting is capped at
-// kMaxDepth so hostile input fails with a typed error instead of
-// overflowing the stack.
+// kMaxDepth and size at kMaxBytes, so hostile input fails with a typed
+// error instead of overflowing the stack or exhausting memory.
 #pragma once
 
 #include <cctype>
 #include <cstdlib>
+#include <istream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -49,6 +50,13 @@ class JsonParseError : public std::runtime_error {
 /// Deepest array/object nesting parse() accepts (the tree's own reports
 /// nest at most 6 levels); one level deeper throws JsonParseError.
 inline constexpr int kMaxDepth = 256;
+
+/// Largest document parse() and read_document() accept, in bytes; one
+/// byte more throws JsonParseError. The largest artifact
+/// scripts/collect_bench.sh writes is a chrome trace of about 141 KiB
+/// (144,335 B for bench_leakage_verify on a 4-vCPU host), so 16 MiB
+/// leaves two orders of magnitude of headroom.
+inline constexpr std::size_t kMaxBytes = std::size_t{16} << 20;
 
 namespace detail {
 
@@ -231,9 +239,30 @@ class Parser {
 
 }  // namespace detail
 
-/// Parse a complete JSON document; throws JsonParseError on malformed input.
+/// Parse a complete JSON document; throws JsonParseError on malformed or
+/// oversized input.
 inline JsonValue parse(std::string_view text) {
+  if (text.size() > kMaxBytes) {
+    throw JsonParseError("JSON document larger than " +
+                         std::to_string(kMaxBytes) + " bytes");
+  }
   return detail::Parser(text).parse_document();
+}
+
+/// Read a whole document (or JSONL log) from `in`. Reading stops as soon
+/// as the input passes kMaxBytes and throws JsonParseError, so an
+/// oversized or endless stream never has to fit in memory.
+inline std::string read_document(std::istream& in) {
+  std::string out;
+  char chunk[1 << 16];
+  while (in.read(chunk, sizeof chunk) || in.gcount() > 0) {
+    out.append(chunk, static_cast<std::size_t>(in.gcount()));
+    if (out.size() > kMaxBytes) {
+      throw JsonParseError("input larger than " + std::to_string(kMaxBytes) +
+                           " bytes");
+    }
+  }
+  return out;
 }
 
 }  // namespace convolve::json

@@ -1,6 +1,6 @@
 #include "convolve/crypto/aes.hpp"
 
-#include <cstring>
+#include <algorithm>
 #include <stdexcept>
 
 #include "convolve/crypto/detail/aes_core.hpp"
@@ -90,19 +90,23 @@ Bytes aes256_ctr(ByteView key, ByteView nonce, std::uint32_t initial_counter,
   if (nonce.size() != 12) {
     throw std::invalid_argument("aes256_ctr: nonce must be 12 bytes");
   }
-  const Aes aes(Aes::KeySize::k256, key);
+  if (key.size() != 32) {
+    throw std::invalid_argument("aes256_ctr: key must be 32 bytes");
+  }
+  constexpr int kRounds = 14;
+  std::array<std::uint8_t, 16 * (kRounds + 1)> round_keys{};
+  detail::aes_key_expand(key.data(), 8, kRounds, round_keys.data());
+  std::array<std::uint64_t, 8 * (kRounds + 1)> rk_planes{};
+  detail::aes_slice_round_keys(round_keys.data(), kRounds, rk_planes.data());
+
   Bytes out(data.begin(), data.end());
-  std::uint8_t counter_block[16];
-  std::memcpy(counter_block, nonce.data(), 12);
+  std::uint8_t keystream[64] = {};
   std::uint32_t ctr = initial_counter;
-  std::size_t off = 0;
-  while (off < out.size()) {
-    store_be32(counter_block + 12, ctr++);
-    std::uint8_t keystream[16];
-    aes.encrypt_block(counter_block, keystream);
-    const std::size_t n = std::min<std::size_t>(16, out.size() - off);
+  for (std::size_t off = 0; off < out.size(); off += 64, ctr += 4) {
+    detail::aes_ctr_keystream4(rk_planes.data(), kRounds, nonce.data(), ctr,
+                               keystream);
+    const std::size_t n = std::min<std::size_t>(64, out.size() - off);
     for (std::size_t i = 0; i < n; ++i) out[off + i] ^= keystream[i];
-    off += n;
   }
   return out;
 }

@@ -1,5 +1,6 @@
 #include "convolve/crypto/dilithium.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <stdexcept>
@@ -10,8 +11,6 @@
 namespace convolve::crypto::dilithium {
 
 namespace {
-
-using Poly = std::array<std::int32_t, kN>;
 
 // Coefficients are kept in [0, q).
 std::int32_t mod_q(std::int64_t a) {
@@ -187,12 +186,14 @@ Poly expand_a_entry(ByteView rho, int row, int col) {
   xof.absorb({idx, 2});
   Poly f{};
   int count = 0;
-  std::uint8_t buf[3];
+  std::uint8_t buf[168];  // one SHAKE128 block: 56 three-byte candidates
   while (count < kN) {
-    xof.squeeze({buf, 3});
-    const std::int32_t v =
-        (buf[0] | (buf[1] << 8) | (buf[2] << 16)) & 0x7fffff;
-    if (v < kQ) f[count++] = v;
+    xof.squeeze(buf);
+    for (std::size_t i = 0; i < sizeof buf && count < kN; i += 3) {
+      const std::int32_t v =
+          (buf[i] | (buf[i + 1] << 8) | (buf[i + 2] << 16)) & 0x7fffff;
+      if (v < kQ) f[count++] = v;
+    }
   }
   return f;
 }
@@ -206,35 +207,16 @@ Poly expand_s_entry(ByteView rho_prime, std::uint16_t nonce) {
   xof.absorb({n, 2});
   Poly f{};
   int count = 0;
-  std::uint8_t byte;
+  std::uint8_t buf[136];  // one SHAKE256 block
   while (count < kN) {
-    xof.squeeze({&byte, 1});
-    for (const int nib : {byte & 0x0f, byte >> 4}) {
-      if (nib < 15 && count < kN) {
-        f[count++] = mod_q(kEta - (nib % (2 * kEta + 1)));
+    xof.squeeze(buf);
+    for (std::size_t i = 0; i < sizeof buf && count < kN; ++i) {
+      for (const int nib : {buf[i] & 0x0f, buf[i] >> 4}) {
+        if (nib < 15 && count < kN) {
+          f[count++] = mod_q(kEta - (nib % (2 * kEta + 1)));
+        }
       }
     }
-  }
-  return f;
-}
-
-// y coefficients in [-(gamma1-1), gamma1], 18 bits each.
-Poly expand_mask_entry(ByteView rho_pp, std::uint16_t nonce) {
-  Shake xof(Shake::Variant::k256);
-  std::uint8_t n[2] = {static_cast<std::uint8_t>(nonce),
-                       static_cast<std::uint8_t>(nonce >> 8)};
-  xof.absorb(rho_pp);
-  xof.absorb({n, 2});
-  const Bytes buf = xof.squeeze(576);
-  Poly f{};
-  std::size_t bit = 0;
-  for (int i = 0; i < kN; ++i) {
-    std::uint32_t raw = 0;
-    for (int b = 0; b < 18; ++b) {
-      raw |= static_cast<std::uint32_t>((buf[bit / 8] >> (bit % 8)) & 1) << b;
-      ++bit;
-    }
-    f[i] = mod_q(kGamma1 - static_cast<std::int32_t>(raw));
   }
   return f;
 }
@@ -308,6 +290,20 @@ std::int32_t t0_bwd(std::int32_t raw) { return mod_q((1 << (kD - 1)) - raw); }
 std::int32_t z_fwd(std::int32_t c) { return kGamma1 - centered(c); }
 std::int32_t z_bwd(std::int32_t raw) { return mod_q(kGamma1 - raw); }
 
+// y coefficients in [-(gamma1-1), gamma1]: 18-bit fields of the SHAKE256
+// stream, little-endian, mapped like a packed z.
+Poly expand_mask_entry(ByteView rho_pp, std::uint16_t nonce) {
+  Shake xof(Shake::Variant::k256);
+  std::uint8_t n[2] = {static_cast<std::uint8_t>(nonce),
+                       static_cast<std::uint8_t>(nonce >> 8)};
+  xof.absorb(rho_pp);
+  xof.absorb({n, 2});
+  std::uint8_t buf[576];
+  xof.squeeze(buf);
+  const std::uint8_t* p = buf;
+  return unpack_bits(p, 18, z_bwd);
+}
+
 // Hint vector: omega position bytes plus k cumulative-count bytes.
 Bytes pack_hints(const Vec<kK>& h) {
   Bytes out(kOmega + kK, 0);
@@ -366,15 +362,13 @@ Bytes pack_w1(const Vec<kK>& w1) {
 // Matrix application.
 // ---------------------------------------------------------------------
 
-struct Matrix {
-  std::array<Vec<kL>, kK> rows;  // NTT domain
-};
+using Matrix = std::array<Vec<kL>, kK>;  // NTT domain
 
 Matrix expand_a(ByteView rho) {
   Matrix a;
   for (int i = 0; i < kK; ++i) {
     for (int j = 0; j < kL; ++j) {
-      a.rows[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
+      a[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
           expand_a_entry(rho, i, j);
     }
   }
@@ -389,7 +383,7 @@ Vec<kK> matvec(const Matrix& a, const Vec<kL>& v_hat) {
     for (int j = 0; j < kL; ++j) {
       acc = poly_add(
           acc, pointwise(
-                   a.rows[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)],
+                   a[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)],
                    v_hat[static_cast<std::size_t>(j)]));
     }
     w[static_cast<std::size_t>(i)] = acc;
@@ -453,35 +447,42 @@ KeyPair keygen(ByteView seed32) {
   return kp;
 }
 
-Bytes sign(ByteView sk, ByteView message) {
+SigningKey expand_signing_key(ByteView sk) {
   if (sk.size() != kSkBytes) throw std::invalid_argument("sign: bad sk");
+  SigningKey key;
   const ByteView rho{sk.data(), 32};
-  const ByteView cap_k{sk.data() + 32, 32};
-  const ByteView tr{sk.data() + 64, 64};
+  std::copy_n(sk.data() + 32, 32, key.seed_k.begin());
+  std::copy_n(sk.data() + 64, 64, key.tr.begin());
   const std::uint8_t* p = sk.data() + 128;
-  Vec<kL> s1{};
-  Vec<kK> s2{}, t0{};
-  for (auto& poly : s1) poly = unpack_bits(p, 3, eta_bwd);
-  for (auto& poly : s2) poly = unpack_bits(p, 3, eta_bwd);
-  for (auto& poly : t0) poly = unpack_bits(p, 13, t0_bwd);
+  for (auto& poly : key.s1_hat) poly = unpack_bits(p, 3, eta_bwd);
+  for (auto& poly : key.s2_hat) poly = unpack_bits(p, 3, eta_bwd);
+  for (auto& poly : key.t0_hat) poly = unpack_bits(p, 13, t0_bwd);
+  vec_ntt(key.s1_hat);
+  vec_ntt(key.s2_hat);
+  vec_ntt(key.t0_hat);
+  key.a_hat = expand_a(rho);
+  return key;
+}
 
-  const Matrix a = expand_a(rho);
-  Vec<kL> s1_hat = s1;
-  vec_ntt(s1_hat);
-  Vec<kK> s2_hat = s2;
-  vec_ntt(s2_hat);
-  Vec<kK> t0_hat = t0;
-  vec_ntt(t0_hat);
+Bytes sign(ByteView sk, ByteView message) {
+  return sign(expand_signing_key(sk), message);
+}
+
+Bytes sign(const SigningKey& key, ByteView message) {
+  const Matrix& a = key.a_hat;
+  const Vec<kL>& s1_hat = key.s1_hat;
+  const Vec<kK>& s2_hat = key.s2_hat;
+  const Vec<kK>& t0_hat = key.t0_hat;
 
   Shake hmu(Shake::Variant::k256);
-  hmu.absorb(tr);
+  hmu.absorb(key.tr);
   hmu.absorb(message);
   const Bytes mu = hmu.squeeze(64);
 
   // Deterministic variant: rnd is 32 zero bytes.
   Shake hrho(Shake::Variant::k256);
   const Bytes rnd(32, 0);
-  hrho.absorb(cap_k);
+  hrho.absorb(key.seed_k);
   hrho.absorb(rnd);
   hrho.absorb(mu);
   const Bytes rho_pp = hrho.squeeze(64);

@@ -35,8 +35,10 @@ class Aes {
 };
 
 /// AES-256-CTR keystream XOR. `nonce` is 12 bytes; the 4-byte big-endian
-/// block counter starts at `initial_counter`. Encryption and decryption are
-/// the same operation.
+/// block counter starts at `initial_counter` and wraps mod 2^32. Encryption
+/// and decryption are the same operation. Runs the bit-plane core four
+/// blocks per pass (detail/aes_core.hpp); the output equals CTR over
+/// Aes::encrypt_block, which stays the byte-wise reference.
 Bytes aes256_ctr(ByteView key, ByteView nonce, std::uint32_t initial_counter,
                  ByteView data);
 

@@ -38,15 +38,36 @@ inline constexpr std::size_t kSkBytes =
     32 + 32 + 64 + 96 * (kK + kL) + 416 * kK;                      // 2560
 inline constexpr std::size_t kSigBytes = 32 + 576 * kL + kOmega + kK;  // 2420
 
+using Poly = std::array<std::int32_t, kN>;
+
 struct KeyPair {
   Bytes pk;
   Bytes sk;
 };
 
+/// A secret key expanded once for repeated signing, as FIPS 204 permits:
+/// the matrix A-hat and s1-hat, s2-hat, t0-hat, all in the NTT domain,
+/// plus the seed K and public-key hash tr that signing hashes. About
+/// 28 KB, against 2560 B packed.
+struct SigningKey {
+  std::array<std::uint8_t, 32> seed_k{};
+  std::array<std::uint8_t, 64> tr{};
+  std::array<std::array<Poly, kL>, kK> a_hat{};
+  std::array<Poly, kL> s1_hat{};
+  std::array<Poly, kK> s2_hat{};
+  std::array<Poly, kK> t0_hat{};
+};
+
 /// Deterministic key generation from a 32-byte seed.
 KeyPair keygen(ByteView seed32);
 
+/// Unpack, transform and expand a packed secret key.
+SigningKey expand_signing_key(ByteView sk);
+
 /// Deterministic signature (FIPS 204 "hedged" variant with rnd = 0).
+Bytes sign(const SigningKey& key, ByteView message);
+
+/// sign(expand_signing_key(sk), message): the same bytes.
 Bytes sign(ByteView sk, ByteView message);
 
 /// Verify a signature; returns false on any malformed or forged input.

@@ -19,7 +19,8 @@ namespace convolve::crypto {
 /// refer to the real round structure.
 void keccak_f1600(std::array<std::uint64_t, 25>& state);
 
-/// Incremental Keccak sponge with byte-granular absorb/squeeze.
+/// Incremental Keccak sponge: absorb and squeeze accept any byte count and
+/// move whole 64-bit lanes at a time (a partial lane at either end).
 class KeccakSponge {
  public:
   /// `rate_bytes` must be a positive multiple of 8 below 200.
@@ -41,9 +42,6 @@ class KeccakSponge {
   std::size_t offset_ = 0;  // byte position within the current rate block
   std::uint8_t suffix_ = 0;
   bool squeezing_ = false;
-
-  void xor_byte_into_state(std::size_t pos, std::uint8_t b);
-  std::uint8_t state_byte(std::size_t pos) const;
 };
 
 // One-shot hashes -------------------------------------------------------

@@ -1,6 +1,6 @@
 #include "convolve/crypto/keccak.hpp"
 
-#include <cassert>
+#include <algorithm>
 #include <stdexcept>
 
 #include "convolve/crypto/detail/keccak_core.hpp"
@@ -18,18 +18,41 @@ KeccakSponge::KeccakSponge(std::size_t rate_bytes, std::uint8_t domain_suffix)
   }
 }
 
-void KeccakSponge::xor_byte_into_state(std::size_t pos, std::uint8_t b) {
-  state_[pos / 8] ^= static_cast<std::uint64_t>(b) << (8 * (pos % 8));
+namespace {
+
+// Sponge positions are byte offsets into the little-endian lane array.
+// `n` bytes (1..8) starting at byte `shift` of a lane never cross into the
+// next lane, because callers split at lane boundaries.
+std::uint64_t load_lane_bytes(const std::uint8_t* p, std::size_t n) {
+  if (n == 8) return load_le64(p);
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < n; ++i) v |= std::uint64_t{p[i]} << (8 * i);
+  return v;
 }
 
-std::uint8_t KeccakSponge::state_byte(std::size_t pos) const {
-  return static_cast<std::uint8_t>(state_[pos / 8] >> (8 * (pos % 8)));
+void store_lane_bytes(std::uint8_t* p, std::uint64_t v, std::size_t n) {
+  if (n == 8) {
+    store_le64(p, v);
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
 }
+
+}  // namespace
 
 void KeccakSponge::absorb(ByteView data) {
   if (squeezing_) throw std::logic_error("KeccakSponge: absorb after squeeze");
-  for (std::uint8_t byte : data) {
-    xor_byte_into_state(offset_++, byte);
+  const std::uint8_t* p = data.data();
+  std::size_t left = data.size();
+  while (left > 0) {
+    const std::size_t shift = offset_ % 8;
+    const std::size_t n = std::min(8 - shift, left);
+    state_[offset_ / 8] ^= load_lane_bytes(p, n) << (8 * shift);
+    p += n;
+    left -= n;
+    offset_ += n;
     if (offset_ == rate_) {
       keccak_f1600(state_);
       offset_ = 0;
@@ -39,8 +62,8 @@ void KeccakSponge::absorb(ByteView data) {
 
 void KeccakSponge::finalize() {
   if (squeezing_) return;
-  xor_byte_into_state(offset_, suffix_);
-  xor_byte_into_state(rate_ - 1, 0x80);
+  state_[offset_ / 8] ^= std::uint64_t{suffix_} << (8 * (offset_ % 8));
+  state_[rate_ / 8 - 1] ^= std::uint64_t{0x80} << 56;  // rate is lane-aligned
   keccak_f1600(state_);
   offset_ = 0;
   squeezing_ = true;
@@ -48,12 +71,19 @@ void KeccakSponge::finalize() {
 
 void KeccakSponge::squeeze(std::span<std::uint8_t> out) {
   finalize();
-  for (auto& byte : out) {
+  std::uint8_t* p = out.data();
+  std::size_t left = out.size();
+  while (left > 0) {
     if (offset_ == rate_) {
       keccak_f1600(state_);
       offset_ = 0;
     }
-    byte = state_byte(offset_++);
+    const std::size_t shift = offset_ % 8;
+    const std::size_t n = std::min(8 - shift, left);
+    store_lane_bytes(p, state_[offset_ / 8] >> (8 * shift), n);
+    p += n;
+    left -= n;
+    offset_ += n;
   }
 }
 

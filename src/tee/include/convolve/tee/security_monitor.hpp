@@ -13,6 +13,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -31,6 +32,15 @@ struct SmConfig {
 };
 
 struct SmSnapshot;
+
+/// What the SM derives once at install and never changes: the boot record
+/// and, in PQ mode, the ML-DSA signing key expanded for repeated signing
+/// (~28 KB). The SM, its snapshots and every SM resumed from them alias
+/// one copy through a shared_ptr, so no fork copies key material.
+struct SmKeys {
+  BootRecord boot;
+  std::optional<crypto::dilithium::SigningKey> mldsa;  // when pq_enabled
+};
 
 // Modeled stack frames of the SM's signing paths (bytes). The ML-DSA
 // working set (matrix A, vectors y/z/w, hint buffers) mirrors the
@@ -54,14 +64,16 @@ class SecurityMonitor {
     Rv32Engine engine = Rv32Cpu::kDefaultEngine;
   };
 
-  /// Install the SM: locks down its own region and the enclave PMP plan.
+  /// Install the SM: locks down its own region and the enclave PMP plan,
+  /// and builds its SmKeys (expanding the ML-DSA key in PQ mode).
   SecurityMonitor(Machine& machine, const BootRecord& boot,
                   const SmConfig& config = {});
 
   /// Resume from a snapshot onto a (typically CoW-forked) machine whose
   /// PMP already carries the snapshotted plan -- the constructor adopts
   /// the enclave table and allocator state without reprogramming anything,
-  /// so forked machines keep their inherited PMP epoch and decode caches.
+  /// so forked machines keep their inherited PMP epoch and decode caches,
+  /// and aliases the snapshot's SmKeys rather than copying them.
   /// `fork_id` disambiguates seal nonces across forks sharing one
   /// snapshot: each fork's nonce space is (counter, fork_id), so two
   /// forks sealing concurrently can never collide (fork_id 0 is the
@@ -69,7 +81,7 @@ class SecurityMonitor {
   SecurityMonitor(Machine& machine, const SmSnapshot& snap,
                   std::uint32_t fork_id);
 
-  /// Freeze the SM's logical state (boot record, config, enclave table,
+  /// Freeze the SM's logical state (shared SmKeys, config, enclave table,
   /// allocator cursor, seal counter) for later resume on a forked
   /// machine. Pair with Machine::freeze(), which captures memory + PMP.
   SmSnapshot snapshot() const;
@@ -144,14 +156,17 @@ class SecurityMonitor {
   const RequestContext& request_context() const { return ctx_; }
 
   const SimStack& stack() const { return stack_; }
-  const BootRecord& boot_record() const { return boot_; }
+  const BootRecord& boot_record() const { return keys_->boot; }
+  /// The install-time key state this SM signs and seals with; forks of
+  /// one snapshot all return the snapshot's object.
+  const SmKeys& keys() const { return *keys_; }
 
   /// Verifier trust anchor for this device.
   VerifierTrustAnchor trust_anchor() const;
 
  private:
   Machine& machine_;
-  BootRecord boot_;
+  std::shared_ptr<const SmKeys> keys_;
   SmConfig config_;
   SimStack stack_;
   std::vector<Enclave> enclaves_;
@@ -169,7 +184,7 @@ class SecurityMonitor {
 /// Machine memory and the PMP plan live in the paired MachineImage; this
 /// holds only what the SM tracks on the side.
 struct SmSnapshot {
-  BootRecord boot;
+  std::shared_ptr<const SmKeys> keys;
   SmConfig config;
   std::vector<SecurityMonitor::Enclave> enclaves;
   std::uint64_t next_free = 0;

@@ -6,10 +6,12 @@
 // and create_enclave -- one memory copy -- and then stamps out any number
 // of independent worlds with fork(): each fork's Machine aliases the
 // snapshot's pages copy-on-write (Machine's fork constructor) and its SM
-// resumes from the snapshotted logical state without touching the PMP, so
+// resumes from the snapshotted logical state without touching the PMP,
+// aliasing the snapshot's SmKeys (boot record, expanded ML-DSA key), so
 // forking costs two page-table allocations rather than a boot + measure +
-// load sequence. Forks never write the image, so concurrent forking and
-// execution across the pool is race-free by construction.
+// load sequence, and copies no key material. Forks never write the image,
+// so concurrent forking and execution across the pool is race-free by
+// construction.
 #pragma once
 
 #include <cstdint>

@@ -57,6 +57,15 @@ std::uint64_t align_up(std::uint64_t x, std::uint64_t alignment) {
   return (x + alignment - 1) / alignment * alignment;
 }
 
+std::shared_ptr<const SmKeys> install_keys(const BootRecord& boot) {
+  auto keys = std::make_shared<SmKeys>();
+  keys->boot = boot;
+  if (boot.pq_enabled) {
+    keys->mldsa = crypto::dilithium::expand_signing_key(boot.sm_mldsa.sk);
+  }
+  return keys;
+}
+
 // PMP entry plan: 0 = SM region, 1..14 = enclaves, 15 = OS allow-all.
 constexpr int kSmEntry = 0;
 constexpr int kFirstEnclaveEntry = 1;
@@ -68,7 +77,7 @@ constexpr int kOsEntry = 15;
 SecurityMonitor::SecurityMonitor(Machine& machine, const BootRecord& boot,
                                  const SmConfig& config)
     : machine_(machine),
-      boot_(boot),
+      keys_(install_keys(boot)),
       config_(config),
       stack_(config.stack_bytes) {
   if (config_.sm_region_size == 0 ||
@@ -89,7 +98,7 @@ SecurityMonitor::SecurityMonitor(Machine& machine, const BootRecord& boot,
 SecurityMonitor::SecurityMonitor(Machine& machine, const SmSnapshot& snap,
                                  std::uint32_t fork_id)
     : machine_(machine),
-      boot_(snap.boot),
+      keys_(snap.keys),
       config_(snap.config),
       stack_(snap.config.stack_bytes),
       enclaves_(snap.enclaves),
@@ -104,7 +113,7 @@ SecurityMonitor::SecurityMonitor(Machine& machine, const SmSnapshot& snap,
 
 SmSnapshot SecurityMonitor::snapshot() const {
   SmSnapshot snap;
-  snap.boot = boot_;
+  snap.keys = keys_;
   snap.config = config_;
   snap.enclaves = enclaves_;
   snap.next_free = next_free_;
@@ -250,17 +259,18 @@ AttestationReport SecurityMonitor::attest(int id, ByteView user_data) {
   if (user_data.size() > kEnclaveDataMax) {
     throw std::invalid_argument("attest: user data too large");
   }
+  const BootRecord& boot = keys_->boot;
   AttestationReport report;
-  report.pq_enabled = boot_.pq_enabled;
-  report.device_ed25519_pk = boot_.device_ed25519_pk;
-  report.sm_measurement = boot_.sm_measurement;
-  report.sm_ed25519_pk = boot_.sm_ed25519.public_key;
-  report.device_sig_ed25519 = boot_.device_sig_ed25519;
+  report.pq_enabled = boot.pq_enabled;
+  report.device_ed25519_pk = boot.device_ed25519_pk;
+  report.sm_measurement = boot.sm_measurement;
+  report.sm_ed25519_pk = boot.sm_ed25519.public_key;
+  report.device_sig_ed25519 = boot.device_sig_ed25519;
   report.enclave_measurement = e.measurement;
   report.enclave_data.assign(user_data.begin(), user_data.end());
-  if (boot_.pq_enabled) {
-    report.sm_mldsa_pk = boot_.sm_mldsa.pk;
-    report.device_sig_mldsa = boot_.device_sig_mldsa;
+  if (boot.pq_enabled) {
+    report.sm_mldsa_pk = boot.sm_mldsa.pk;
+    report.device_sig_mldsa = boot.device_sig_mldsa;
   }
 
   // Enclave payload: measurement || data_len || padded data.
@@ -277,17 +287,17 @@ AttestationReport SecurityMonitor::attest(int id, ByteView user_data) {
   StackFrame assembly(stack_, kReportAssemblyStack);
   {
     StackFrame ed_frame(stack_, kEd25519SignStack);
-    report.sm_sig_ed25519 = crypto::ed25519_sign(boot_.sm_ed25519, payload);
+    report.sm_sig_ed25519 = crypto::ed25519_sign(boot.sm_ed25519, payload);
   }
-  if (boot_.pq_enabled) {
+  if (boot.pq_enabled) {
     StackFrame mldsa_frame(stack_, kMlDsaSignStack);
-    report.sm_sig_mldsa = crypto::dilithium::sign(boot_.sm_mldsa.sk, payload);
+    report.sm_sig_mldsa = crypto::dilithium::sign(*keys_->mldsa, payload);
   }
   return report;
 }
 
 Bytes SecurityMonitor::sealing_key(const Enclave& e) const {
-  return crypto::hkdf(boot_.sealing_root, e.measurement,
+  return crypto::hkdf(boot_record().sealing_root, e.measurement,
                       as_bytes("convolve-sealing-key-v1"), 32);
 }
 
@@ -326,7 +336,7 @@ SecurityMonitor::LocalAttestation SecurityMonitor::local_attest(int target) {
   LocalAttestation token;
   token.target = target;
   token.target_measurement = e.measurement;
-  const Bytes key = crypto::hkdf(boot_.sealing_root, {},
+  const Bytes key = crypto::hkdf(boot_record().sealing_root, {},
                                  as_bytes("convolve-local-attest-v1"), 32);
   Bytes msg;
   std::uint8_t id_le[4];
@@ -345,7 +355,7 @@ bool SecurityMonitor::verify_local_attestation(
     CONVOLVE_RECORD_EVENT(kMeasurementMismatch, ctx_, 0, token.target);
     return false;
   }
-  const Bytes key = crypto::hkdf(boot_.sealing_root, {},
+  const Bytes key = crypto::hkdf(boot_record().sealing_root, {},
                                  as_bytes("convolve-local-attest-v1"), 32);
   Bytes msg;
   std::uint8_t id_le[4];
@@ -364,8 +374,8 @@ bool SecurityMonitor::verify_local_attestation(
 
 VerifierTrustAnchor SecurityMonitor::trust_anchor() const {
   VerifierTrustAnchor anchor;
-  anchor.device_ed25519_pk = boot_.device_ed25519_pk;
-  anchor.device_mldsa_pk = boot_.device_mldsa_pk;
+  anchor.device_ed25519_pk = boot_record().device_ed25519_pk;
+  anchor.device_mldsa_pk = boot_record().device_mldsa_pk;
   return anchor;
 }
 

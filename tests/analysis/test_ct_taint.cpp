@@ -108,6 +108,13 @@ TEST(CtLint, Aes256IsConstantTime) {
   EXPECT_TRUE(r.clean());
 }
 
+TEST(CtLint, Aes256CtrPlaneCoreIsConstantTime) {
+  const auto r = lint_aes256_ctr();
+  EXPECT_EQ(r.hazard_count, 0u)
+      << "shipped bit-plane AES-256-CTR recorded timing hazards";
+  EXPECT_TRUE(r.output_matches);
+}
+
 TEST(CtLint, Chacha20IsConstantTime) {
   const auto r = lint_chacha20();
   EXPECT_EQ(r.hazard_count, 0u);
@@ -151,13 +158,14 @@ TEST(CtLint, DilithiumNttHazardsAreDetected) {
 
 TEST(CtLint, LintAllCoversEverySuite) {
   const auto all = lint_all();
-  ASSERT_EQ(all.size(), 6u);
+  ASSERT_EQ(all.size(), 7u);
   EXPECT_EQ(all[0].suite, "aes256");
-  EXPECT_EQ(all[1].suite, "chacha20");
-  EXPECT_EQ(all[2].suite, "keccak");
-  EXPECT_EQ(all[3].suite, "hmac");
-  EXPECT_EQ(all[4].suite, "kyber-ntt");
-  EXPECT_EQ(all[5].suite, "dilithium-ntt");
+  EXPECT_EQ(all[1].suite, "aes256-ctr");
+  EXPECT_EQ(all[2].suite, "chacha20");
+  EXPECT_EQ(all[3].suite, "keccak");
+  EXPECT_EQ(all[4].suite, "hmac");
+  EXPECT_EQ(all[5].suite, "kyber-ntt");
+  EXPECT_EQ(all[6].suite, "dilithium-ntt");
   for (const auto& r : all) EXPECT_TRUE(r.output_matches) << r.suite;
 }
 

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -81,6 +82,22 @@ TEST(TelemetryJson, NestingLimitThrowsTypedError) {
   EXPECT_THROW(json::parse(objects(json::kMaxDepth + 1)),
                json::JsonParseError);
   EXPECT_THROW(json::parse(std::string(200000, '[')), json::JsonParseError);
+}
+
+// Input size is bounded too: a document of exactly kMaxBytes parses (and
+// reads), one byte more throws the typed error from parse() and from the
+// bounded reader the tools use.
+TEST(TelemetryJson, SizeLimitThrowsTypedError) {
+  std::string doc = "[]";
+  doc.resize(json::kMaxBytes, ' ');
+  EXPECT_TRUE(json::parse(doc).is_array());
+  std::istringstream at_limit(doc);
+  EXPECT_EQ(json::read_document(at_limit).size(), json::kMaxBytes);
+
+  doc.push_back(' ');
+  EXPECT_THROW(json::parse(doc), json::JsonParseError);
+  std::istringstream over_limit(doc);
+  EXPECT_THROW(json::read_document(over_limit), json::JsonParseError);
 }
 
 #if CONVOLVE_TELEMETRY_ENABLED

@@ -2,8 +2,32 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "convolve/common/rng.hpp"
+
 namespace convolve::crypto {
 namespace {
+
+// Byte-wise CTR over Aes::encrypt_block, one block per counter value: the
+// reference the four-block bit-plane aes256_ctr must match byte for byte.
+Bytes blockwise_ctr(ByteView key, ByteView nonce, std::uint32_t ctr,
+                    ByteView data) {
+  const Aes aes(Aes::KeySize::k256, key);
+  Bytes out(data.begin(), data.end());
+  std::uint8_t block[16] = {};
+  std::copy(nonce.begin(), nonce.end(), block);
+  for (std::size_t off = 0; off < out.size(); off += 16) {
+    store_be32(block + 12, ctr++);
+    std::uint8_t keystream[16];
+    aes.encrypt_block(block, keystream);
+    for (std::size_t i = 0; i < 16 && off + i < out.size(); ++i) {
+      out[off + i] ^= keystream[i];
+    }
+  }
+  return out;
+}
 
 // FIPS 197 Appendix C vectors.
 TEST(Aes, Fips197Aes128) {
@@ -102,6 +126,58 @@ TEST(AesCtr, NonBlockAlignedLength) {
   const Bytes nonce(12, 0x44);
   const Bytes pt(23, 0xab);
   EXPECT_EQ(aes256_ctr(key, nonce, 0, aes256_ctr(key, nonce, 0, pt)), pt);
+}
+
+// Differential: lengths around the 16-byte block and 64-byte pass edges,
+// plus a full 4 KiB seal body, at initial counters whose 32-bit wrap lands
+// inside one four-block pass; then seeded random lengths 0-300.
+TEST(AesCtr, MatchesBlockwiseReference) {
+  Xoshiro256 rng(0xAE5C7Au);
+  const auto check = [&rng](std::size_t len, std::uint32_t ctr) {
+    Bytes key(32), nonce(12), data(len);
+    rng.fill_bytes(key);
+    rng.fill_bytes(nonce);
+    rng.fill_bytes(data);
+    EXPECT_EQ(aes256_ctr(key, nonce, ctr, data),
+              blockwise_ctr(key, nonce, ctr, data))
+        << "len " << len << " ctr " << ctr;
+  };
+  const std::vector<std::size_t> edge_lengths = {0,  1,  15, 16,  17,
+                                                 63, 64, 65, 300, 4096};
+  const std::vector<std::uint32_t> counters = {0u, 1u, 0xfffffffdu,
+                                               0xfffffffeu, 0xffffffffu};
+  int cases = 0;
+  for (const std::size_t len : edge_lengths) {
+    for (const std::uint32_t ctr : counters) {
+      check(len, ctr);
+      ++cases;
+    }
+  }
+  for (int i = 0; i < 200; ++i) {
+    const auto len = static_cast<std::size_t>(rng.uniform(301));
+    const std::uint32_t ctr =
+        (i % 2 == 0) ? counters[rng.uniform(counters.size())]
+                     : static_cast<std::uint32_t>(rng.next_u64());
+    check(len, ctr);
+    ++cases;
+  }
+  EXPECT_GE(cases, 250);
+}
+
+// The keystream at counter 2^32 - 1 continues at counter 0, as in the
+// block-at-a-time form.
+TEST(AesCtr, CounterWrapsInsideOnePass) {
+  const Bytes key(32, 0x5a);
+  const Bytes nonce(12, 0xc3);
+  const Bytes zeros(64, 0);
+  const Bytes wrapped = aes256_ctr(key, nonce, 0xfffffffeu, zeros);
+  const Bytes from_zero = aes256_ctr(key, nonce, 0, Bytes(32, 0));
+  EXPECT_EQ(Bytes(wrapped.begin() + 32, wrapped.end()), from_zero);
+}
+
+TEST(AesCtr, RejectsBadKey) {
+  EXPECT_THROW(aes256_ctr(Bytes(16, 0), Bytes(12, 0), 0, Bytes(4, 0)),
+               std::invalid_argument);
 }
 
 }  // namespace

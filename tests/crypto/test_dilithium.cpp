@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "convolve/common/rng.hpp"
+#include "convolve/crypto/keccak.hpp"
 
 namespace convolve::crypto::dilithium {
 namespace {
@@ -94,6 +95,38 @@ TEST(Dilithium, EmptyMessageSupported) {
 TEST(Dilithium, RejectsBadSeed) {
   EXPECT_THROW(keygen(Bytes(31, 0)), std::invalid_argument);
   EXPECT_THROW(sign(Bytes(100, 0), as_bytes("m")), std::invalid_argument);
+  EXPECT_THROW(expand_signing_key(Bytes(kSkBytes - 1, 0)),
+               std::invalid_argument);
+}
+
+// The expanded key signs the golden message to the digest pinned in
+// Golden.DilithiumKeygenSign.
+TEST(Dilithium, ExpandedKeyMatchesGoldenSignature) {
+  const auto kp = keygen(Bytes(32, 0x33));
+  const SigningKey key = expand_signing_key(kp.sk);
+  const Bytes sig = sign(key, as_bytes("golden"));
+  EXPECT_EQ(to_hex(sha3_256(sig)),
+            "6b232df6750e13a595e2cbba2878b2a29f61445097d475c1b0c00e93ac2623e0");
+  EXPECT_EQ(sig, sign(kp.sk, as_bytes("golden")));
+}
+
+// One expanded key, reused across messages, signs exactly what the packed
+// key does, and the signatures verify.
+TEST(Dilithium, ExpandedKeyMatchesPackedKeyOnSeededPairs) {
+  Xoshiro256 rng(0x51C4EDu);
+  for (int i = 0; i < 32; ++i) {
+    Bytes seed(32);
+    rng.fill_bytes(seed);
+    const auto kp = keygen(seed);
+    const SigningKey key = expand_signing_key(kp.sk);
+    for (int m = 0; m < 2; ++m) {
+      Bytes msg(rng.uniform(1100));
+      rng.fill_bytes(msg);
+      const Bytes sig = sign(key, msg);
+      EXPECT_EQ(sig, sign(kp.sk, msg)) << "pair " << i << " message " << m;
+      EXPECT_TRUE(verify(kp.pk, msg, sig)) << "pair " << i << " message " << m;
+    }
+  }
 }
 
 }  // namespace

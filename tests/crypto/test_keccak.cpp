@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "convolve/common/rng.hpp"
+
 namespace convolve::crypto {
 namespace {
 
@@ -88,6 +92,50 @@ TEST(KeccakSponge, AbsorbAfterSqueezeThrows) {
   Bytes out(16);
   s.squeeze(out);
   EXPECT_THROW(s.absorb(as_bytes("more")), std::logic_error);
+}
+
+// The sponge moves whole lanes where it can and partial lanes at either
+// end of a call: feeding and draining it in seeded random chunk sizes
+// (0-20 bytes, so every lane offset and the rate edge are crossed) must
+// match one byte per call and one call for everything.
+TEST(KeccakSponge, RandomChunkingMatchesBytewise) {
+  Xoshiro256 rng(0x5E0C6Eu);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t rate = (trial % 2 == 0) ? 136 : 168;
+    Bytes data(rng.uniform(700));
+    rng.fill_bytes(data);
+    const std::size_t out_len = 1 + rng.uniform(500);
+
+    KeccakSponge whole(rate, 0x1f), bytewise(rate, 0x1f), chunked(rate, 0x1f);
+    whole.absorb(data);
+    for (const std::uint8_t b : data) bytewise.absorb({&b, 1});
+    for (std::size_t i = 0; i < data.size();) {
+      const std::size_t n =
+          std::min<std::size_t>(rng.uniform(21), data.size() - i);
+      chunked.absorb({data.data() + i, n});
+      i += n;
+    }
+
+    Bytes want(out_len), got_bytes(out_len), got_chunks(out_len);
+    whole.squeeze(want);
+    for (auto& b : got_bytes) bytewise.squeeze({&b, 1});
+    for (std::size_t i = 0; i < out_len;) {
+      const std::size_t n = std::min<std::size_t>(rng.uniform(21), out_len - i);
+      chunked.squeeze({got_chunks.data() + i, n});
+      i += n;
+    }
+    EXPECT_EQ(got_bytes, want) << "trial " << trial;
+    EXPECT_EQ(got_chunks, want) << "trial " << trial;
+  }
+}
+
+// Keccak-f[1600] of the all-zero state (Keccak team intermediate values).
+TEST(KeccakPermutation, ZeroStateKnownAnswer) {
+  std::array<std::uint64_t, 25> st{};
+  keccak_f1600(st);
+  EXPECT_EQ(st[0], 0xF1258F7940E1DDE7ull);
+  EXPECT_EQ(st[1], 0x84D5CCF933C0478Aull);
+  EXPECT_EQ(st[24], 0xEAF1FF7B5CECA249ull);
 }
 
 TEST(KeccakPermutation, ChangesState) {

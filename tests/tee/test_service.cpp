@@ -345,5 +345,54 @@ TEST(EnclaveService, ForksInheritHoistedEngineSelection) {
   EXPECT_EQ(a[0].steps, b[0].steps);
 }
 
+// PQ attestation from forks. The master SM expands its ML-DSA key once at
+// install; its snapshot, every fork of that snapshot and every service
+// built on it hold that same SmKeys object (no rebuild, no copy), and the
+// forks' reports are byte-identical to the master's at every thread count.
+TEST(EnclaveService, ForksReuseSnapshotSigningKey) {
+  Machine machine(1 << 20);
+  const Bootrom rom({true}, DeviceKeys::from_entropy(Bytes(32, 0x44)));
+  const BootRecord boot = rom.boot(Bytes(4096, 0xAB));
+  SmConfig config;
+  config.stack_bytes = 128 * 1024;  // ML-DSA signing needs the 128 KB stack
+  SecurityMonitor master(machine, boot, config);
+  const int enclave = master.create_enclave(sum_input_program(kInputLen), 8192);
+  const MachineSnapshot snapshot = MachineSnapshot::freeze(machine, master);
+
+  const SmKeys* keys = &master.keys();
+  ASSERT_TRUE(keys->mldsa.has_value());
+  EXPECT_EQ(snapshot.sm_state().keys.get(), keys);
+  for (std::uint32_t fork_id = 1; fork_id <= 4; ++fork_id) {
+    const EnclaveWorld world = snapshot.fork(fork_id);
+    EXPECT_EQ(&world.sm->keys(), keys) << "fork " << fork_id;
+  }
+
+  std::vector<Request> batch;
+  std::vector<Bytes> want;
+  for (int i = 0; i < 8; ++i) {
+    Request r;
+    r.kind = RequestKind::kAttest;
+    r.enclave = enclave;
+    r.payload = Bytes(static_cast<std::size_t>(i) * 37, std::uint8_t(i));
+    want.push_back(master.attest(enclave, r.payload).serialize());
+    batch.push_back(std::move(r));
+  }
+  ASSERT_TRUE(verify_report(*AttestationReport::deserialize(want[3]),
+                            master.trust_anchor()));
+  for (const int threads : {1, 2, 4, 7}) {
+    par::ScopedThreadCount guard(threads);
+    EnclaveService service(snapshot, ServiceConfig{});
+    EXPECT_EQ(service.snapshot().sm_state().keys.get(), keys);
+    const auto got = service.run_batch(batch);
+    ASSERT_EQ(got.size(), want.size()) << threads << " threads";
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got[i].status, Status::kOk) << got[i].error;
+      ASSERT_TRUE(got[i].report.has_value());
+      EXPECT_EQ(got[i].report->serialize(), want[i])
+          << threads << " threads, request " << i;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace convolve::tee::service

@@ -18,13 +18,13 @@
 //  * A baseline value of 0 cannot anchor a ratio; such comparisons are
 //    skipped with a note.
 //
-// Exit codes: 0 no regression, 1 regression(s), 2 usage or I/O error.
+// Exit codes: 0 no regression, 1 regression(s), 2 usage, I/O or parse
+// error (an input larger than json::kMaxBytes is a parse error).
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -53,12 +53,11 @@ int usage(const char* argv0) {
   return 2;
 }
 
+// Throws JsonParseError when the file exceeds json::kMaxBytes.
 bool read_file(const std::string& path, std::string& out) {
   std::ifstream f(path, std::ios::binary);
   if (!f) return false;
-  std::ostringstream buf;
-  buf << f.rdbuf();
-  out = buf.str();
+  out = convolve::json::read_document(f);
   return true;
 }
 
@@ -171,20 +170,19 @@ int main(int argc, char** argv) {
   }
   if (baseline_path.empty() || current_path.empty()) return usage(argv[0]);
 
-  std::string baseline_text, current_text;
-  if (!read_file(baseline_path, baseline_text)) {
-    std::fprintf(stderr, "bench_diff: cannot read %s\n",
-                 baseline_path.c_str());
-    return 2;
-  }
-  if (!read_file(current_path, current_text)) {
-    std::fprintf(stderr, "bench_diff: cannot read %s\n",
-                 current_path.c_str());
-    return 2;
-  }
-
   JsonValue baseline, current;
   try {
+    std::string baseline_text, current_text;
+    if (!read_file(baseline_path, baseline_text)) {
+      std::fprintf(stderr, "bench_diff: cannot read %s\n",
+                   baseline_path.c_str());
+      return 2;
+    }
+    if (!read_file(current_path, current_text)) {
+      std::fprintf(stderr, "bench_diff: cannot read %s\n",
+                   current_path.c_str());
+      return 2;
+    }
     baseline = convolve::json::parse(baseline_text);
     current = convolve::json::parse(current_text);
   } catch (const convolve::json::JsonParseError& e) {

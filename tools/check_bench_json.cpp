@@ -9,12 +9,12 @@
 //   telemetry.counters / gauges / histograms       (objects)
 //   events.recorded / dropped / by_kind            (numbers, object)
 //
-// Exit 0 when the shape holds, 1 with a diagnostic otherwise. Wired into
+// Exit 0 when the shape holds, 1 with a diagnostic otherwise (input larger
+// than json::kMaxBytes is refused as a parse error). Wired into
 // ctest as bench_*_json_schema so a bench refactor that silently changes
 // the schema fails the suite rather than downstream dashboards.
 #include <cstdio>
 #include <iostream>
-#include <sstream>
 #include <string>
 
 #include "convolve/common/json.hpp"
@@ -41,13 +41,10 @@ bool has_string(const JsonValue& obj, const char* key) {
 }  // namespace
 
 int main() {
-  std::ostringstream buf;
-  buf << std::cin.rdbuf();
-  const std::string input = buf.str();
-  if (input.empty()) return fail("empty input");
-
   JsonValue root;
   try {
+    const std::string input = convolve::json::read_document(std::cin);
+    if (input.empty()) return fail("empty input");
     root = convolve::json::parse(input);
   } catch (const convolve::json::JsonParseError& e) {
     return fail(std::string("parse error: ") + e.what());

@@ -6,13 +6,14 @@
 // semantics; this file is only flag parsing and I/O.
 //
 // Exit codes: 0 report printed (even when empty), 1 an outlier tenant
-// was flagged AND --fail-on-outlier was given, 2 usage or I/O error.
+// was flagged AND --fail-on-outlier was given, 2 usage or I/O error,
+// including an input larger than json::kMaxBytes.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <string>
 
+#include "convolve/common/json.hpp"
 #include "convolve/common/obs_report.hpp"
 
 namespace {
@@ -31,12 +32,16 @@ int usage(const char* argv0) {
   return 2;
 }
 
+// False when the file cannot be opened or exceeds json::kMaxBytes.
 bool read_file(const std::string& path, std::string& out) {
   std::ifstream f(path, std::ios::binary);
   if (!f) return false;
-  std::ostringstream buf;
-  buf << f.rdbuf();
-  out = buf.str();
+  try {
+    out = convolve::json::read_document(f);
+  } catch (const convolve::json::JsonParseError& e) {
+    std::fprintf(stderr, "obs_report: %s: %s\n", path.c_str(), e.what());
+    return false;
+  }
   return true;
 }
 
