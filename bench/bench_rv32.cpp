@@ -15,10 +15,11 @@
 // both engines share.
 //
 // A fourth scenario, rv32_parallel, runs 64 unevenly-sized hart slices
-// through the work-stealing pool (one Machine+Rv32Cpu per slice): with
-// --threads >= 2 the uneven loads force steals, so a single --json run
-// exercises the decode-cache, PMP-memo and pool.steals counters and puts
-// per-worker spans in the --trace-out file.
+// through the thread pool (one Machine+Rv32Cpu per slice): with
+// --threads >= 2 the uneven loads make participants claim chunks beyond
+// their round-robin share (pool.steals), so a single --json run exercises
+// the decode-cache, PMP-memo and pool.steals counters and puts per-worker
+// spans in the --trace-out file.
 //
 // Output: a text table by default; --json emits the shared
 // bench_report.hpp schema (same shape as bench_crypto_micro
@@ -186,10 +187,11 @@ void add_engine_entry(convolve::bench::Report& report, const char* name,
 
 // Scenario 4: 64 hart slices with quadratically uneven instruction budgets
 // sharded through the pool (grain 1 => one chunk per slice). The uneven
-// loads leave early-finishing participants idle, so they steal -- which is
-// exactly what pool.steals and the per-worker spans in --trace-out need a
-// run to contain. Aggregate bytecode throughput is reported; the
-// workload is not speedup-gated (slices are tiny by design).
+// loads let early-finishing participants claim chunks beyond their
+// round-robin share (c % threads == their index) from the shared cursor --
+// which is exactly what pool.steals and the per-worker spans in
+// --trace-out need a run to contain. Aggregate bytecode throughput is
+// reported; the workload is not speedup-gated (slices are tiny by design).
 struct ParallelRun {
   double seconds = 0;
   std::uint64_t steps = 0;
@@ -202,7 +204,7 @@ ParallelRun run_parallel_slices(std::uint64_t budget) {
   std::vector<std::uint64_t> slice_steps(kSlices, 0);
   std::vector<std::uint8_t> slice_clean(kSlices, 1);
   // Quadratic ramp: slice i gets ~3x the average at the top end, so chunk
-  // runtimes differ enough to trigger stealing at any --threads >= 2.
+  // runtimes differ enough to unbalance the claims at any --threads >= 2.
   const std::uint64_t unit =
       budget / (kSlices * (kSlices + 1) * (2 * kSlices + 1) / 6 / kSlices + 1);
   const auto t0 = std::chrono::steady_clock::now();
@@ -238,7 +240,7 @@ ParallelRun run_parallel_slices(std::uint64_t budget) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // rv32_parallel only exercises work stealing with >= 2 workers, so when
+  // rv32_parallel only exercises the shared cursor with >= 2 workers, so when
   // the user didn't size the pool explicitly, don't let a single-core host
   // collapse the default to 1 (results are thread-count-invariant anyway).
   bool threads_explicit = false;
@@ -316,7 +318,8 @@ int main(int argc, char** argv) {
   }
 
   // Pool-sharded slices: not engine-compared or gated, but this is the run
-  // that makes pool.steals and the per-worker trace spans nonzero.
+  // that makes pool.steals (chunks claimed beyond a participant's
+  // round-robin share) and the per-worker trace spans nonzero.
   if (selected("rv32_parallel")) {
     const ParallelRun par_run = run_parallel_slices(steps);
     all_match &= par_run.clean;

@@ -1,6 +1,6 @@
 // Deterministic parallel execution engine.
 //
-// A work-stealing thread pool plus `parallel_for` / `parallel_reduce`
+// A persistent thread pool plus `parallel_for` / `parallel_reduce`
 // primitives whose results are *deterministic by construction*: work is cut
 // into chunks whose boundaries depend only on the problem size (never on
 // the thread count or scheduling), each chunk produces an independent
@@ -10,12 +10,14 @@
 // count, and `threads == 1` degenerates to a plain serial loop on the
 // calling thread with no pool involvement at all.
 //
-// Scheduling model: every chunk is pushed to a per-participant deque
-// (round-robin); a participant pops from the back of its own deque and,
-// when empty, steals from the front of a victim's. The calling thread
-// participates, so `--threads N` means N compute threads total. Stealing
-// randomizes *completion* order only; determinism comes from the fixed
-// chunking and ordered combine, never from the schedule.
+// Scheduling model: a region is one shared atomic cursor over its chunks;
+// every participant claims the next unclaimed chunk until none is left.
+// The calling thread participates, so `--threads N` means N compute
+// threads total. The cursor randomizes *which thread* runs a chunk and the
+// completion order only; determinism comes from the fixed chunking and
+// ordered combine, never from the schedule. The `pool.steals` counter is
+// the number of chunks a participant claimed beyond its round-robin share
+// (the chunks c with c % N == its index).
 #pragma once
 
 #include <cstdint>

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -19,10 +18,12 @@ namespace convolve::par {
 namespace {
 
 #if CONVOLVE_TELEMETRY_ENABLED
-// pool.tasks is deterministic for a given (n, grain, input) workload:
-// chunking is schedule-independent, and the serial path counts the same
-// chunks the pool would. pool.steals and pool.worker_wait_ns depend on OS
-// scheduling and are expected to vary run-over-run.
+// pool.tasks and pool.jobs are deterministic for a given (n, grain, input)
+// workload: chunking is schedule-independent, and every region, nested ones
+// included, is counted once on its calling thread. pool.steals (chunks a
+// participant claimed beyond its round-robin share, the chunks c with
+// c % P == self) and pool.worker_wait_ns depend on OS scheduling and are
+// expected to vary run-over-run.
 telemetry::Counter t_tasks{"pool.tasks"};
 telemetry::Counter t_steals{"pool.steals"};
 telemetry::Counter t_jobs{"pool.jobs"};
@@ -31,105 +32,48 @@ telemetry::Gauge t_threads{"pool.threads"};
 telemetry::Histogram t_task_ns{"pool.task_ns"};
 #endif
 
-// Set while a thread is executing chunks of a parallel region; nested
-// parallel regions then run inline on that thread instead of deadlocking on
-// the (single-job) pool.
+// Set on pool workers for their whole life and on the caller while it works
+// a pooled region: a region started there is nested and runs inline instead
+// of deadlocking on the (single-job) pool.
 thread_local bool g_in_parallel_region = false;
 
-// A single parallel region: n_chunks tasks distributed round-robin over the
-// participants' deques. Owners pop from the back; thieves steal from the
-// front. `remaining` counts unfinished chunks; the caller spins on it via
-// the done condition variable.
+// A single parallel region. Participants claim chunks from the shared cursor
+// `next` until it passes n_chunks. The first exception wins `failed`, after
+// which no participant claims another chunk.
 struct Job {
-  explicit Job(std::uint64_t n_chunks, int n_participants,
-               const std::function<void(std::uint64_t)>& body)
-      : fn(body), queues(static_cast<std::size_t>(n_participants)),
-        remaining(n_chunks) {
-    for (std::uint64_t c = 0; c < n_chunks; ++c) {
-      auto& q = queues[static_cast<std::size_t>(
-          c % static_cast<std::uint64_t>(n_participants))];
-      q.items.push_back(c);
-    }
-  }
+  const std::function<void(std::uint64_t)>& fn;
+  std::uint64_t n_chunks;
+  int participants;
+  std::atomic<std::uint64_t> next{0};
+  std::atomic<bool> failed{false};
+  std::exception_ptr error{};
 
-  struct Queue {
-    std::mutex mu;
-    std::deque<std::uint64_t> items;
-  };
-
-  // Pop from the back of our own deque, else steal from the front of the
-  // first non-empty victim (sets `stolen`). Returns false when no work is
-  // left anywhere.
-  bool take(int self, std::uint64_t& out, bool& stolen) {
-    stolen = false;
-    auto& own = queues[static_cast<std::size_t>(self)];
-    {
-      std::lock_guard<std::mutex> lock(own.mu);
-      if (!own.items.empty()) {
-        out = own.items.back();
-        own.items.pop_back();
-        return true;
-      }
-    }
-    const int n = static_cast<int>(queues.size());
-    for (int delta = 1; delta < n; ++delta) {
-      auto& victim = queues[static_cast<std::size_t>((self + delta) % n)];
-      std::lock_guard<std::mutex> lock(victim.mu);
-      if (!victim.items.empty()) {
-        out = victim.items.front();  // steal the oldest chunk
-        victim.items.pop_front();
-        stolen = true;
-        return true;
-      }
-    }
-    return false;
-  }
-
-  void work(int self) {
-    g_in_parallel_region = true;
-    std::uint64_t chunk = 0;
-    bool stolen = false;
-    CONVOLVE_TELEMETRY_ONLY(std::uint64_t my_tasks = 0; std::uint64_t my_steals = 0;)
-    while (take(self, chunk, stolen)) {
-      CONVOLVE_TELEMETRY_ONLY(++my_tasks; my_steals += stolen ? 1 : 0;
-                              const std::uint64_t t0 = telemetry::trace_now_ns();)
-      if (!failed.load(std::memory_order_acquire)) {
-        try {
-          fn(chunk);
-        } catch (...) {
-          bool expected = false;
-          if (failed.compare_exchange_strong(expected, true)) {
-            std::lock_guard<std::mutex> lock(error_mu);
-            error = std::current_exception();
-          }
-        }
+  void work([[maybe_unused]] int self) {
+    CONVOLVE_TELEMETRY_ONLY(std::uint64_t steals = 0;)
+    while (!failed.load()) {
+      const std::uint64_t c = next.fetch_add(1);
+      if (c >= n_chunks) break;
+      CONVOLVE_TELEMETRY_ONLY(
+          if (c % static_cast<std::uint64_t>(participants) !=
+              static_cast<std::uint64_t>(self)) ++steals;
+          const std::uint64_t t0 = telemetry::trace_now_ns();)
+      try {
+        fn(c);
+      } catch (...) {
+        if (!failed.exchange(true)) error = std::current_exception();
       }
       CONVOLVE_TELEMETRY_ONLY(
           const std::uint64_t dur = telemetry::trace_now_ns() - t0;
           t_task_ns.record(dur);
           telemetry::record_span("pool.task", t0, dur);)
-      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(done_mu);
-        done_cv.notify_all();
-      }
     }
-    // Flush per-participant tallies once per job, not per chunk.
-    CONVOLVE_TELEMETRY_ONLY(t_tasks.add(my_tasks); t_steals.add(my_steals);)
-    g_in_parallel_region = false;
+    // Flush the per-participant tally once per job, not per chunk.
+    CONVOLVE_TELEMETRY_ONLY(t_steals.add(steals);)
   }
-
-  const std::function<void(std::uint64_t)>& fn;
-  std::vector<Queue> queues;
-  std::atomic<std::uint64_t> remaining;
-  std::atomic<bool> failed{false};
-  std::mutex error_mu;
-  std::exception_ptr error;
-  std::mutex done_mu;
-  std::condition_variable done_cv;
 };
 
 // Persistent worker pool. One job runs at a time (parallel regions are
-// serialised by run_mu); workers sleep between jobs.
+// serialised by run_mu_); workers sleep between jobs.
 class Pool {
  public:
   static Pool& instance() {
@@ -137,38 +81,29 @@ class Pool {
     return pool;
   }
 
-  void run(std::uint64_t n_chunks, int total_threads,
-           const std::function<void(std::uint64_t)>& fn) {
+  // The caller is participant P-1 (workers are 0..P-2) and works the job
+  // like any other. When its claim loop ends every chunk has been claimed,
+  // so once no worker is left inside the job every chunk has retired.
+  void run(Job& job) {
     std::lock_guard<std::mutex> run_lock(run_mu_);
-    ensure_workers(total_threads - 1);
-    CONVOLVE_TELEMETRY_ONLY(t_jobs.add(1); t_threads.set(total_threads);)
-    Job job(n_chunks, total_threads, fn);
+    const int n_workers = job.participants - 1;
     {
       std::lock_guard<std::mutex> lock(job_mu_);
+      while (static_cast<int>(workers_.size()) < n_workers) {
+        const int index = static_cast<int>(workers_.size());
+        workers_.emplace_back([this, index] { worker_loop(index); });
+      }
+      wanted_workers_ = n_workers;
       job_ = &job;
       ++job_epoch_;
     }
     job_cv_.notify_all();
-    // The caller is participant index total_threads-1 (workers are 0..n-2);
-    // it works the job like any other participant.
-    job.work(total_threads - 1);
-    {
-      std::unique_lock<std::mutex> lock(job.done_mu);
-      job.done_cv.wait(lock, [&] {
-        return job.remaining.load(std::memory_order_acquire) == 0;
-      });
-    }
-    {
-      std::lock_guard<std::mutex> lock(job_mu_);
-      job_ = nullptr;
-      ++job_epoch_;
-    }
-    // Wait until every worker has left the job before it goes out of scope.
-    {
-      std::unique_lock<std::mutex> lock(job_mu_);
-      idle_cv_.wait(lock, [&] { return active_workers_ == 0; });
-    }
-    if (job.error) std::rethrow_exception(job.error);
+    g_in_parallel_region = true;
+    job.work(n_workers);
+    g_in_parallel_region = false;
+    std::unique_lock<std::mutex> lock(job_mu_);
+    job_ = nullptr;
+    idle_cv_.wait(lock, [&] { return active_workers_ == 0; });
   }
 
  private:
@@ -183,15 +118,6 @@ class Pool {
     for (auto& t : workers_) t.join();
   }
 
-  void ensure_workers(int n_workers) {
-    std::lock_guard<std::mutex> lock(job_mu_);
-    while (static_cast<int>(workers_.size()) < n_workers) {
-      const int index = static_cast<int>(workers_.size());
-      workers_.emplace_back([this, index] { worker_loop(index); });
-    }
-    wanted_workers_ = n_workers;
-  }
-
   void worker_loop(int index) {
 #if CONVOLVE_TELEMETRY_ENABLED
     // Deterministic thread identity in exported traces: pool index, not OS
@@ -202,6 +128,7 @@ class Pool {
       telemetry::set_thread_name(name);
     }
 #endif
+    g_in_parallel_region = true;  // a worker only ever runs chunks
     std::uint64_t seen_epoch = 0;
     while (true) {
       Job* job = nullptr;
@@ -220,11 +147,12 @@ class Pool {
         ++active_workers_;
       }
       job->work(index);
+      bool last = false;
       {
         std::lock_guard<std::mutex> lock(job_mu_);
-        --active_workers_;
+        last = --active_workers_ == 0;
       }
-      idle_cv_.notify_all();
+      if (last) idle_cv_.notify_one();  // only the caller waits on it
     }
   }
 
@@ -241,6 +169,14 @@ class Pool {
   std::vector<std::thread> workers_;
 };
 
+// A whole decimal string in 1..4096, else 0.
+int parse_thread_count(const char* s) {
+  char* end = nullptr;
+  const long v = std::strtol(s, &end, 10);
+  return end != s && *end == '\0' && v >= 1 && v <= 4096 ? static_cast<int>(v)
+                                                          : 0;
+}
+
 std::atomic<int> g_thread_count{0};  // 0 = not yet initialised
 
 }  // namespace
@@ -251,14 +187,9 @@ int hardware_threads() {
 }
 
 int default_thread_count() {
-  if (const char* env = std::getenv("CONVOLVE_THREADS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v >= 1 && v <= 4096) {
-      return static_cast<int>(v);
-    }
-  }
-  return hardware_threads();
+  const char* env = std::getenv("CONVOLVE_THREADS");
+  const int n = env != nullptr ? parse_thread_count(env) : 0;
+  return n != 0 ? n : hardware_threads();
 }
 
 int thread_count() {
@@ -277,28 +208,27 @@ void set_thread_count(int n) {
 int init_threads_from_cli(int& argc, char** argv) {
   // The CLI entry thread gets a stable name in exported traces.
   CONVOLVE_TELEMETRY_ONLY(telemetry::set_thread_name("main");)
+  constexpr char kPrefix[] = "--threads=";
+  constexpr std::size_t kPrefixLen = sizeof(kPrefix) - 1;
   for (int i = 1; i < argc; ++i) {
+    const char* value = nullptr;
+    int consumed = 1;
     if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      const int n = std::atoi(argv[i + 1]);
-      if (n < 1) {
-        throw std::invalid_argument("--threads expects a positive integer");
-      }
-      set_thread_count(n);
-      for (int j = i + 2; j < argc; ++j) argv[j - 2] = argv[j];
-      argc -= 2;
-      return thread_count();
+      value = argv[i + 1];
+      consumed = 2;
+    } else if (std::strncmp(argv[i], kPrefix, kPrefixLen) == 0) {
+      value = argv[i] + kPrefixLen;
+    } else {
+      continue;
     }
-    const char* prefix = "--threads=";
-    if (std::strncmp(argv[i], prefix, std::strlen(prefix)) == 0) {
-      const int n = std::atoi(argv[i] + std::strlen(prefix));
-      if (n < 1) {
-        throw std::invalid_argument("--threads expects a positive integer");
-      }
-      set_thread_count(n);
-      for (int j = i + 1; j < argc; ++j) argv[j - 1] = argv[j];
-      --argc;
-      return thread_count();
+    const int n = parse_thread_count(value);
+    if (n == 0) {
+      throw std::invalid_argument("--threads expects an integer in 1..4096");
     }
+    set_thread_count(n);
+    for (int j = i + consumed; j < argc; ++j) argv[j - consumed] = argv[j];
+    argc -= consumed;
+    return thread_count();
   }
   set_thread_count(default_thread_count());
   return thread_count();
@@ -307,43 +237,31 @@ int init_threads_from_cli(int& argc, char** argv) {
 void for_each_chunk(std::uint64_t n_chunks,
                     const std::function<void(std::uint64_t)>& fn) {
   if (n_chunks == 0) return;
-  const int threads = thread_count();
-  // Serial fallback: one thread, a nested region, or nothing to overlap.
-  // Counts the same pool.tasks the pool would (chunking is schedule-
-  // independent), which is what makes that counter deterministic across
-  // --threads N. Nested regions don't re-count: their chunks execute
-  // inside a counted outer task.
-  if (threads <= 1 || n_chunks == 1 || g_in_parallel_region) {
-    CONVOLVE_TELEMETRY_ONLY(if (!g_in_parallel_region) {
-      t_jobs.add(1);
-      t_threads.set(1);
-      t_tasks.add(n_chunks);
-    })
-    for (std::uint64_t c = 0; c < n_chunks; ++c) {
-      CONVOLVE_TELEMETRY_ONLY(
-          const std::uint64_t t0 =
-              g_in_parallel_region ? 0 : telemetry::trace_now_ns();)
-      fn(c);
-      CONVOLVE_TELEMETRY_ONLY(if (!g_in_parallel_region) {
-        const std::uint64_t dur = telemetry::trace_now_ns() - t0;
-        t_task_ns.record(dur);
-        telemetry::record_span("pool.task", t0, dur);
-      })
-    }
-    return;
-  }
+  // A nested region runs inline on the participant that started it.
+  const bool nested = g_in_parallel_region;
   const int participants =
-      static_cast<int>(std::min<std::uint64_t>(
-          static_cast<std::uint64_t>(threads), n_chunks));
-  Pool::instance().run(n_chunks, participants, fn);
+      nested ? 1
+             : static_cast<int>(std::min<std::uint64_t>(
+                   static_cast<std::uint64_t>(thread_count()), n_chunks));
+  // Counted once per region on its calling thread, nested regions included,
+  // so both counters depend on the workload and never on the thread count.
+  CONVOLVE_TELEMETRY_ONLY(t_jobs.add(1); t_tasks.add(n_chunks);
+                          if (!nested) t_threads.set(participants);)
+  Job job{fn, n_chunks, participants};
+  if (participants == 1) {
+    job.work(0);
+  } else {
+    Pool::instance().run(job);
+  }
+  if (job.error) std::rethrow_exception(job.error);
 }
 
 std::uint64_t chunk_count(std::uint64_t n, std::uint64_t grain) {
   if (n == 0) return 0;
   if (grain < 1) grain = 1;
   // Cap the chunk count so tiny grains on huge loops don't flood the pool;
-  // 256 chunks keep stealing effective at any plausible thread count while
-  // staying schedule-independent.
+  // 256 chunks keep the shared cursor's load balance fine-grained at any
+  // plausible thread count while staying schedule-independent.
   const std::uint64_t by_grain = (n + grain - 1) / grain;
   return std::min<std::uint64_t>(by_grain, 256);
 }

@@ -72,7 +72,8 @@ NodeRef locate(const Component& root, Choice& ch,
 }
 
 // Enumeration grain: big enough that chunk setup (choice_for_index decode)
-// is noise, small enough that work stealing balances uneven metric folds.
+// is noise, small enough that the pool's shared chunk cursor balances
+// uneven metric folds.
 constexpr std::uint64_t kEnumGrain = 1024;
 
 // Shared shard walker: decode the shard's first configuration, then step

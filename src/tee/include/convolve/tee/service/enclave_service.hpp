@@ -8,8 +8,8 @@
 //               request that fails either is answered kRejected
 //               immediately -- backpressure costs no fork and no wheel
 //               time.
-//   drain()   -- executes every admitted request across the work-stealing
-//               pool (src/common/parallel) and returns all responses of
+//   drain()   -- executes every admitted request across the thread pool
+//               (src/common/parallel) and returns all responses of
 //               the batch in submission order. Each request runs in its
 //               own CoW fork of the frozen snapshot (fork id = seq + 1),
 //               so requests share nothing but read-only image pages, and

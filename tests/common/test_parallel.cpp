@@ -9,9 +9,12 @@
 
 #include <atomic>
 #include <cstring>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "convolve/cim/attack.hpp"
@@ -69,6 +72,32 @@ TEST(Threads, CliEqualsFormConsumed) {
   EXPECT_EQ(argc, 1);
 }
 
+// The flag takes what CONVOLVE_THREADS takes: a whole decimal string in
+// 1..4096. Anything else throws and leaves argv and the count untouched.
+// Parsing only -- no region runs at a rejected count.
+TEST(Threads, CliRejectsTrailingJunkAndOutOfRangeCounts) {
+  par::ScopedThreadCount outer(2);
+  for (const char* value : {"4abc", "5000", "0", ""}) {
+    std::string spaced = value;
+    std::string joined = std::string("--threads=") + value;
+    char prog[] = "prog";
+    char flag[] = "--threads";
+    char* separate[] = {prog, flag, spaced.data(), nullptr};
+    char* equals[] = {prog, joined.data(), nullptr};
+    int argc = 3;
+    EXPECT_THROW(par::init_threads_from_cli(argc, separate),
+                 std::invalid_argument)
+        << "--threads " << value;
+    EXPECT_EQ(argc, 3);
+    argc = 2;
+    EXPECT_THROW(par::init_threads_from_cli(argc, equals),
+                 std::invalid_argument)
+        << joined;
+    EXPECT_EQ(argc, 2);
+    EXPECT_EQ(par::thread_count(), 2);
+  }
+}
+
 TEST(Chunking, RangesPartitionTheIterationSpace) {
   for (std::uint64_t n : {0ull, 1ull, 7ull, 256ull, 1000ull, 100000ull}) {
     for (std::uint64_t grain : {1ull, 16ull, 1024ull}) {
@@ -119,18 +148,27 @@ TEST(ParallelFor, EmptyAndSingleton) {
 }
 
 TEST(ParallelFor, ExceptionPropagatesAndPoolSurvives) {
-  par::ScopedThreadCount t(4);
-  EXPECT_THROW(par::parallel_for(100,
-                                 [&](std::uint64_t i) {
-                                   if (i == 37) {
-                                     throw std::runtime_error("boom");
-                                   }
-                                 }),
-               std::runtime_error);
-  // The pool must stay usable after a failed region.
-  std::atomic<int> ok{0};
-  par::parallel_for(50, [&](std::uint64_t) { ++ok; });
-  EXPECT_EQ(ok.load(), 50);
+  for (int threads : kThreadCounts) {
+    par::ScopedThreadCount t(threads);
+    std::atomic<int> ran{0};
+    EXPECT_THROW(par::parallel_for(100,
+                                   [&](std::uint64_t i) {
+                                     ++ran;
+                                     if (i == 37) {
+                                       throw std::runtime_error("boom");
+                                     }
+                                   }),
+                 std::runtime_error);
+    // Chunks after the failing one are not started: on one thread they
+    // run in index order, so exactly indices 0..37 ran.
+    if (threads == 1) {
+      EXPECT_EQ(ran.load(), 38);
+    }
+    // The pool must stay usable after a failed region.
+    std::atomic<int> ok{0};
+    par::parallel_for(50, [&](std::uint64_t) { ++ok; });
+    EXPECT_EQ(ok.load(), 50) << "threads=" << threads;
+  }
 }
 
 TEST(ParallelFor, NestedRegionsRunInlineWithoutDeadlock) {
@@ -144,12 +182,25 @@ TEST(ParallelFor, NestedRegionsRunInlineWithoutDeadlock) {
   EXPECT_EQ(total.load(), 8u * 16u);
 }
 
+// Back-to-back regions at a changing thread count: every index runs once,
+// and no region has more distinct threads than its thread count. Spare
+// workers (index >= wanted) stay out, including one woken for a wider
+// region that only gets the lock after that region has ended.
 TEST(ParallelFor, ManySmallRegionsStress) {
-  par::ScopedThreadCount t(4);
+  const int cycle[] = {2, 7, 3, 4};
   for (int rep = 0; rep < 200; ++rep) {
-    std::atomic<int> n{0};
-    par::parallel_for(17, [&](std::uint64_t) { ++n; });
-    ASSERT_EQ(n.load(), 17);
+    const int threads = cycle[rep % 4];
+    par::ScopedThreadCount t(threads);
+    std::vector<int> hits(17, 0);
+    std::mutex mu;
+    std::set<std::thread::id> ids;
+    par::parallel_for(17, [&](std::uint64_t i) {
+      ++hits[i];  // distinct i per call: no race
+      std::lock_guard<std::mutex> lock(mu);
+      ids.insert(std::this_thread::get_id());
+    });
+    for (int h : hits) ASSERT_EQ(h, 1) << "rep " << rep;
+    ASSERT_LE(ids.size(), static_cast<std::size_t>(threads)) << "rep " << rep;
   }
 }
 

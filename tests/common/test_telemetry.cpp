@@ -11,10 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "convolve/common/json.hpp"
@@ -201,31 +204,44 @@ TEST(TelemetrySnapshot, JsonParsesWithExpectedSections) {
   EXPECT_NE(h->find("buckets"), nullptr);
 }
 
-// The pool counts one pool.tasks per executed chunk, on both the serial
-// and the work-stealing path, so the delta for a fixed workload must be
-// identical at every thread count (steal balance may differ; totals not).
+// Every region counts its chunks into pool.tasks and itself into pool.jobs
+// once, on its calling thread, nested regions included, so the deltas for a
+// fixed workload must be identical at every thread count (which participant
+// claimed which chunk, and so pool.steals, may differ; totals not).
 TEST(TelemetryPool, TaskCountDeterministicAcrossThreadCounts) {
-  constexpr std::uint64_t kItems = 300;
-  constexpr std::uint64_t kGrain = 4;
-  std::vector<std::uint64_t> deltas;
-  for (int threads : {1, 2, 4, 7}) {
-    par::ScopedThreadCount scope(threads);
-    const std::uint64_t before =
-        telemetry::snapshot().counter_value("pool.tasks");
-    std::atomic<std::uint64_t> sink{0};
+  std::atomic<std::uint64_t> sink{0};
+  const auto flat = [&] {
     par::parallel_for(
-        kItems,
-        [&](std::uint64_t i) {
-          sink.fetch_add(i, std::memory_order_relaxed);
-        },
-        kGrain);
-    deltas.push_back(telemetry::snapshot().counter_value("pool.tasks") -
-                     before);
-  }
-  ASSERT_EQ(deltas.size(), 4u);
-  EXPECT_GT(deltas[0], 0u);
-  for (std::size_t i = 1; i < deltas.size(); ++i) {
-    EXPECT_EQ(deltas[i], deltas[0]) << "thread count variant " << i;
+        300,
+        [&](std::uint64_t i) { sink.fetch_add(i, std::memory_order_relaxed); },
+        4);
+  };
+  const auto nested = [&] {
+    par::parallel_for(8, [&](std::uint64_t) {
+      par::parallel_for(16, [&](std::uint64_t i) {
+        sink.fetch_add(i, std::memory_order_relaxed);
+      });
+    });
+  };
+  for (const auto& [name, workload] :
+       {std::pair<const char*, std::function<void()>>{"flat", flat},
+        {"nested", nested}}) {
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> deltas;
+    for (int threads : {1, 2, 4, 7}) {
+      par::ScopedThreadCount scope(threads);
+      const auto before = telemetry::snapshot();
+      workload();
+      const auto after = telemetry::snapshot();
+      deltas.emplace_back(after.counter_value("pool.tasks") -
+                              before.counter_value("pool.tasks"),
+                          after.counter_value("pool.jobs") -
+                              before.counter_value("pool.jobs"));
+    }
+    EXPECT_GT(deltas[0].first, 0u) << name;
+    for (std::size_t i = 1; i < deltas.size(); ++i) {
+      EXPECT_EQ(deltas[i], deltas[0])
+          << name << " workload, thread count variant " << i;
+    }
   }
 }
 
