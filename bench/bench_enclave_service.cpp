@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "bench_report.hpp"
+#include "convolve/common/cli.hpp"
 #include "convolve/common/parallel.hpp"
 #include "convolve/tee/service/enclave_service.hpp"
 
@@ -202,39 +203,40 @@ int main(int argc, char** argv) {
   int spawn_reps = 64;
   int tenants = 4;
   std::vector<int> sweep_threads = {1, 2, 4, 8};
+  const std::string usage =
+      std::string("usage: ") + argv[0] + " " +
+      convolve::bench::report_flags_usage() +
+      " [--requests=N] [--spawn-reps=N] [--tenants=N] [--sweep=T1,T2,...] "
+      "[--min-fork-speedup=X] [--min-scale=X] [--scale-threads=N]";
+  using convolve::cli::parse_value;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (convolve::bench::consume_report_flag(arg, opts)) {
       continue;
     } else if (arg.rfind("--min-fork-speedup=", 0) == 0) {
-      min_fork_speedup = std::stod(arg.substr(19));
+      min_fork_speedup = parse_value<double>(arg.substr(19), arg, usage);
     } else if (arg.rfind("--min-scale=", 0) == 0) {
-      min_scale = std::stod(arg.substr(12));
+      min_scale = parse_value<double>(arg.substr(12), arg, usage);
     } else if (arg.rfind("--scale-threads=", 0) == 0) {
-      scale_threads = std::stoi(arg.substr(16));
+      scale_threads = parse_value<int>(arg.substr(16), arg, usage);
     } else if (arg.rfind("--requests=", 0) == 0) {
-      requests = std::stoi(arg.substr(11));
+      requests = parse_value<int>(arg.substr(11), arg, usage);
     } else if (arg.rfind("--spawn-reps=", 0) == 0) {
-      spawn_reps = std::stoi(arg.substr(13));
+      spawn_reps = parse_value<int>(arg.substr(13), arg, usage);
     } else if (arg.rfind("--tenants=", 0) == 0) {
-      tenants = std::stoi(arg.substr(10));
+      tenants = parse_value<int>(arg.substr(10), arg, usage);
     } else if (arg.rfind("--sweep=", 0) == 0) {
       sweep_threads.clear();
       std::string csv = arg.substr(8);
       for (std::size_t pos = 0; pos < csv.size();) {
         std::size_t comma = csv.find(',', pos);
         if (comma == std::string::npos) comma = csv.size();
-        sweep_threads.push_back(std::stoi(csv.substr(pos, comma - pos)));
+        sweep_threads.push_back(
+            parse_value<int>(csv.substr(pos, comma - pos), arg, usage));
         pos = comma + 1;
       }
     } else {
-      std::fprintf(stderr,
-                   "usage: %s %s [--requests=N] [--spawn-reps=N] "
-                   "[--tenants=N] [--sweep=T1,T2,...] "
-                   "[--min-fork-speedup=X] [--min-scale=X] "
-                   "[--scale-threads=N]\n",
-                   argv[0], convolve::bench::report_flags_usage());
-      return 2;
+      convolve::cli::usage_error("unknown option '" + arg + "'", usage);
     }
   }
   if (tenants < 1 || tenants > 8 || sweep_threads.empty()) {

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "bench_report.hpp"
+#include "convolve/common/cli.hpp"
 #include "convolve/common/parallel.hpp"
 #include "convolve/tee/rv32.hpp"
 
@@ -256,22 +257,23 @@ int main(int argc, char** argv) {
   double min_speedup = 6.0;  // bytecode+fusion over interpreter
   std::uint64_t steps = 4'000'000;
   std::string only;  // substring filter over scenario names; empty = all
+  const std::string usage = std::string("usage: ") + argv[0] + " " +
+                            convolve::bench::report_flags_usage() +
+                            " [--steps=N] [--min-speedup=X] [--only=SUB]";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (convolve::bench::consume_report_flag(arg, opts)) {
       continue;
     } else if (arg.rfind("--min-speedup=", 0) == 0) {
-      min_speedup = std::stod(arg.substr(14));
+      min_speedup = convolve::cli::parse_value<double>(arg.substr(14), arg,
+                                                       usage);
     } else if (arg.rfind("--steps=", 0) == 0) {
-      steps = std::stoull(arg.substr(8));
+      steps = convolve::cli::parse_value<std::uint64_t>(arg.substr(8), arg,
+                                                        usage);
     } else if (arg.rfind("--only=", 0) == 0) {
       only = arg.substr(7);
     } else {
-      std::fprintf(stderr,
-                   "usage: %s %s [--steps=N] [--min-speedup=X] "
-                   "[--only=SUB]\n",
-                   argv[0], convolve::bench::report_flags_usage());
-      return 2;
+      convolve::cli::usage_error("unknown option '" + arg + "'", usage);
     }
   }
   const auto selected = [&](const char* name) {

@@ -19,6 +19,7 @@
 
 #include "bench_report.hpp"
 #include "convolve/analysis/rv32static/analyze.hpp"
+#include "convolve/common/cli.hpp"
 #include "convolve/common/rng.hpp"
 #include "convolve/tee/rv32.hpp"
 
@@ -131,14 +132,16 @@ void run(convolve::bench::Report& report, bool text, const char* label,
 int main(int argc, char** argv) {
   convolve::bench::ReportOptions opts;
   std::size_t insns = 4096;
+  const std::string usage = std::string("usage: ") + argv[0] +
+                            " [--insns=N] " +
+                            convolve::bench::report_flags_usage();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--insns=", 0) == 0) {
-      insns = static_cast<std::size_t>(std::stoul(arg.substr(8)));
+      insns = convolve::cli::parse_value<std::size_t>(arg.substr(8), arg,
+                                                      usage);
     } else if (!convolve::bench::consume_report_flag(arg, opts)) {
-      std::fprintf(stderr, "usage: %s [--insns=N] %s\n", argv[0],
-                   convolve::bench::report_flags_usage());
-      return 2;
+      convolve::cli::usage_error("unknown option '" + arg + "'", usage);
     }
   }
 

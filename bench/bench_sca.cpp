@@ -35,6 +35,7 @@
 
 #include "bench_report.hpp"
 #include "convolve/analysis/aes_sbox.hpp"
+#include "convolve/common/cli.hpp"
 #include "convolve/common/parallel.hpp"
 #include "convolve/sca/cpa.hpp"
 #include "convolve/sca/tvla.hpp"
@@ -93,33 +94,35 @@ int main(int argc, char** argv) {
   int lanes = PowerTraceSimulator::kLanes;
   double min_speedup = 0.0;
   int speedup_traces = 1000000;
+  const std::string usage =
+      std::string("usage: ") + argv[0] + " " +
+      convolve::bench::report_flags_usage() +
+      "\n"
+      "          [--sigma=X] [--unmasked-traces=N]\n"
+      "          [--min-unmasked-fail=N] [--min-masked-ratio=N]\n"
+      "          [--lanes=1|64] [--min-speedup=X]\n"
+      "          [--speedup-traces=N] [--threads=N]";
+  using convolve::cli::parse_value;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (convolve::bench::consume_report_flag(arg, opts)) {
       continue;
     } else if (arg.rfind("--sigma=", 0) == 0) {
-      sigma = std::stod(arg.substr(8));
+      sigma = parse_value<double>(arg.substr(8), arg, usage);
     } else if (arg.rfind("--unmasked-traces=", 0) == 0) {
-      unmasked_traces = std::stoi(arg.substr(18));
+      unmasked_traces = parse_value<int>(arg.substr(18), arg, usage);
     } else if (arg.rfind("--min-unmasked-fail=", 0) == 0) {
-      min_unmasked_fail = std::stoi(arg.substr(20));
+      min_unmasked_fail = parse_value<int>(arg.substr(20), arg, usage);
     } else if (arg.rfind("--min-masked-ratio=", 0) == 0) {
-      min_masked_ratio = std::stoi(arg.substr(19));
+      min_masked_ratio = parse_value<int>(arg.substr(19), arg, usage);
     } else if (arg.rfind("--lanes=", 0) == 0) {
-      lanes = std::stoi(arg.substr(8));
+      lanes = parse_value<int>(arg.substr(8), arg, usage);
     } else if (arg.rfind("--min-speedup=", 0) == 0) {
-      min_speedup = std::stod(arg.substr(14));
+      min_speedup = parse_value<double>(arg.substr(14), arg, usage);
     } else if (arg.rfind("--speedup-traces=", 0) == 0) {
-      speedup_traces = std::stoi(arg.substr(17));
+      speedup_traces = parse_value<int>(arg.substr(17), arg, usage);
     } else {
-      std::fprintf(stderr,
-                   "usage: %s %s\n"
-                   "          [--sigma=X] [--unmasked-traces=N]\n"
-                   "          [--min-unmasked-fail=N] [--min-masked-ratio=N]\n"
-                   "          [--lanes=1|64] [--min-speedup=X]\n"
-                   "          [--speedup-traces=N] [--threads=N]\n",
-                   argv[0], convolve::bench::report_flags_usage());
-      return 2;
+      convolve::cli::usage_error("unknown option '" + arg + "'", usage);
     }
   }
   TvlaConfig tvla_cfg;

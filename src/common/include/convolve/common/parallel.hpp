@@ -60,7 +60,8 @@ class ScopedThreadCount {
 /// Consume a `--threads N` flag (and honour CONVOLVE_THREADS) for bench and
 /// tool binaries: scans argv, applies the setting via set_thread_count and
 /// returns the resulting count. Unrelated arguments are left untouched;
-/// a consumed flag is removed from argv/argc.
+/// a consumed flag is removed from argv/argc. A value that is not a whole
+/// decimal in 1..4096 is a cli::usage_error: the process exits 2.
 int init_threads_from_cli(int& argc, char** argv);
 
 /// Run fn(chunk_index) for every chunk in [0, n_chunks). Chunks may execute

@@ -129,19 +129,23 @@ std::uint64_t log2_buckets_percentile(std::span<const std::uint64_t> buckets,
 
 /// Plain (non-atomic, non-registered) log2 histogram for code that wants
 /// percentile summaries without the telemetry registry -- e.g. per-request
-/// service latency folded serially after a parallel batch. Mirrors the
-/// telemetry::Histogram bucketing exactly so values can be compared across
-/// the two.
+/// service latency folded serially after a parallel batch. It is also the
+/// one dense form every other log2 histogram is folded into for a
+/// percentile: telemetry::Histogram's live buckets, a metrics snapshot's
+/// sparse [lo, hi, count] triples and obs_report's parsed copy of them.
 struct Log2Histogram {
   static constexpr int kBuckets = 65;  // bit_width of uint64 is 0..64
   std::array<std::uint64_t, kBuckets> buckets{};
   std::uint64_t count = 0;
   std::uint64_t sum = 0;
 
-  void record(std::uint64_t v) {
-    ++buckets[static_cast<std::size_t>(std::bit_width(v))];
-    ++count;
-    sum += v;
+  /// Add `n` samples of value `v`. Any value of a bucket lands in that
+  /// bucket, so recording an exported bucket's lower bound with its count
+  /// rebuilds the dense buckets exactly (sum then reads the bucket floors).
+  void record(std::uint64_t v, std::uint64_t n = 1) {
+    buckets[static_cast<std::size_t>(std::bit_width(v))] += n;
+    count += n;
+    sum += v * n;
   }
   void merge(const Log2Histogram& other) {
     for (int b = 0; b < kBuckets; ++b) buckets[b] += other.buckets[b];

@@ -97,11 +97,12 @@ class Gauge : public Metric {
 
 /// Fixed-bucket log2 histogram: bucket b holds values v with
 /// std::bit_width(v) == b, i.e. bucket 0 is exactly {0} and bucket b >= 1
-/// covers [2^(b-1), 2^b). record() is three relaxed atomic adds, so keep it
-/// off per-item hot paths (chunk/phase granularity).
+/// covers [2^(b-1), 2^b) -- the Log2Histogram bucketing from stats.hpp.
+/// record() is three relaxed atomic adds, so keep it off per-item hot
+/// paths (chunk/phase granularity).
 class Histogram : public Metric {
  public:
-  static constexpr int kBuckets = 65;  // bit_width of uint64 is 0..64
+  static constexpr int kBuckets = Log2Histogram::kBuckets;
 
   explicit Histogram(const char* name) : Metric(name, MetricKind::kHistogram) {}
 
@@ -111,11 +112,7 @@ class Histogram : public Metric {
     return b == 0 ? 0 : (1ull << (b - 1));
   }
   /// Inclusive upper bound of bucket b.
-  static std::uint64_t bucket_hi(int b) {
-    if (b == 0) return 0;
-    if (b == 64) return ~0ull;
-    return (1ull << b) - 1;
-  }
+  static std::uint64_t bucket_hi(int b) { return log2_bucket_upper_bound(b); }
 
   void record(std::uint64_t v) {
     buckets_[static_cast<std::size_t>(bucket_index(v))].fetch_add(
@@ -134,13 +131,9 @@ class Histogram : public Metric {
   /// log2_buckets_percentile contract from stats.hpp. Reads the buckets
   /// relaxed, so concurrent record() calls may or may not be included.
   std::uint64_t percentile(double pct) const {
-    std::array<std::uint64_t, kBuckets> copy;
-    std::uint64_t total = 0;
-    for (int b = 0; b < kBuckets; ++b) {
-      copy[static_cast<std::size_t>(b)] = bucket(b);
-      total += copy[static_cast<std::size_t>(b)];
-    }
-    return log2_buckets_percentile({copy.data(), copy.size()}, total, pct);
+    Log2Histogram copy;
+    for (int b = 0; b < kBuckets; ++b) copy.record(bucket_lo(b), bucket(b));
+    return copy.percentile(pct);
   }
 
   void reset();
@@ -151,49 +144,29 @@ class Histogram : public Metric {
   std::atomic<std::uint64_t> sum_{0};
 };
 
-/// Fixed-dimension labeled counter family: `base.<slot>` for slots
+/// Fixed-dimension labeled family of metrics M: `base.<slot>` for slots
 /// 0..kSlots-1 plus a `base.overflow` member that absorbs out-of-range
 /// labels (so a hostile label value can never index out of bounds). The
 /// dimension is deliberately tiny and fixed -- tenant slots, not user ids.
-/// add() stays ONE relaxed atomic add: slot clamping is a branchless
-/// bounds check on the way to a plain Counter. Members are registered
-/// metrics and therefore leak (the registry requires static storage).
-class CounterFamily {
+/// add()/record() forward to the member after a branchless bounds check,
+/// so a counter add stays ONE relaxed atomic add; keep histogram records
+/// off per-item hot paths (the service records them in its serial stats
+/// fold, not inside workers). Members are registered metrics and
+/// therefore leak (the registry requires static storage).
+template <typename M>
+class MetricFamily {
  public:
   static constexpr int kSlots = 8;
 
   /// `base` must outlive the family (string literal in practice).
-  explicit CounterFamily(const char* base);
+  explicit MetricFamily(const char* base);
 
   void add(int slot, std::uint64_t n = 1) { member(slot).add(n); }
-  Counter& member(int slot) {
-    return *members_[static_cast<std::size_t>(index(slot))];
-  }
-  const Counter& member(int slot) const {
-    return *members_[static_cast<std::size_t>(index(slot))];
-  }
-
- private:
-  static int index(int slot) {
-    return (slot >= 0 && slot < kSlots) ? slot : kSlots;
-  }
-  std::array<Counter*, kSlots + 1> members_{};
-};
-
-/// Histogram analogue of CounterFamily (same slot/overflow scheme). Keep
-/// record() off per-item hot paths -- the service records these in its
-/// serial stats fold, not inside workers.
-class HistogramFamily {
- public:
-  static constexpr int kSlots = CounterFamily::kSlots;
-
-  explicit HistogramFamily(const char* base);
-
   void record(int slot, std::uint64_t v) { member(slot).record(v); }
-  Histogram& member(int slot) {
+  M& member(int slot) {
     return *members_[static_cast<std::size_t>(index(slot))];
   }
-  const Histogram& member(int slot) const {
+  const M& member(int slot) const {
     return *members_[static_cast<std::size_t>(index(slot))];
   }
 
@@ -201,8 +174,10 @@ class HistogramFamily {
   static int index(int slot) {
     return (slot >= 0 && slot < kSlots) ? slot : kSlots;
   }
-  std::array<Histogram*, kSlots + 1> members_{};
+  std::array<M*, kSlots + 1> members_{};
 };
+using CounterFamily = MetricFamily<Counter>;
+using HistogramFamily = MetricFamily<Histogram>;
 
 /// Point-in-time copy of every registered metric, sorted by name.
 struct MetricsSnapshot {
@@ -257,41 +232,34 @@ std::uint64_t trace_now_ns();
 void set_thread_name(const char* name);
 
 /// Record one complete span on the calling thread's ring buffer. `name`
-/// must be a string literal (stored by pointer). The second overload
-/// attaches one numeric chrome-trace argument (`"args": {"<key>": v}`);
-/// `arg_key` must also be a string literal. The service uses this to stamp
-/// every request-scoped span with its submission seq.
+/// must be a string literal (stored by pointer). A non-null `arg_key`
+/// (also a string literal) attaches one numeric chrome-trace argument
+/// (`"args": {"<key>": v}`); the service uses it to stamp every
+/// request-scoped span with its submission seq.
 void record_span(const char* name, std::uint64_t start_ns,
-                 std::uint64_t dur_ns);
-void record_span(const char* name, std::uint64_t start_ns,
-                 std::uint64_t dur_ns, const char* arg_key,
-                 std::uint64_t arg_value);
+                 std::uint64_t dur_ns, const char* arg_key = nullptr,
+                 std::uint64_t arg_value = 0);
 
 /// RAII span: records [construction, destruction) via record_span.
 class ScopedSpan {
  public:
-  explicit ScopedSpan(const char* name)
-      : name_(name), start_ns_(trace_now_ns()) {}
-  ScopedSpan(const char* name, const char* arg_key, std::uint64_t arg_value)
+  explicit ScopedSpan(const char* name, const char* arg_key = nullptr,
+                      std::uint64_t arg_value = 0)
       : name_(name),
         arg_key_(arg_key),
         arg_value_(arg_value),
         start_ns_(trace_now_ns()) {}
   ~ScopedSpan() {
-    if (arg_key_) {
-      record_span(name_, start_ns_, trace_now_ns() - start_ns_, arg_key_,
-                  arg_value_);
-    } else {
-      record_span(name_, start_ns_, trace_now_ns() - start_ns_);
-    }
+    record_span(name_, start_ns_, trace_now_ns() - start_ns_, arg_key_,
+                arg_value_);
   }
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
  private:
   const char* name_;
-  const char* arg_key_ = nullptr;
-  std::uint64_t arg_value_ = 0;
+  const char* arg_key_;
+  std::uint64_t arg_value_;
   std::uint64_t start_ns_;
 };
 
@@ -316,10 +284,10 @@ bool write_metrics_json(const std::string& path);
 // --- Security flight recorder (structured audit events) ----------------
 //
 // Typed, request-attributed audit records for security-relevant
-// occurrences in the enclave service path. Events share the span ring
-// discipline: per-thread append-only buffers, drop-on-full (never wrap),
-// release-published count, and the same compile-time kill switch -- an
-// OFF build contains no event code at all.
+// occurrences in the enclave service path. Events live in a second
+// instance of the span ring type: per-thread append-only buffers,
+// drop-on-full (never wrap), release-published count, and the same
+// compile-time kill switch -- an OFF build contains no event code at all.
 
 /// What happened. Kept to one byte; the per-kind meaning of `code` and
 /// `value` is documented on each enumerator (and mirrored by obs_report).

@@ -1,12 +1,12 @@
 #include "convolve/common/obs_report.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
+#include <climits>
 #include <cstdarg>
 #include <cstdio>
 #include <map>
-#include <span>
+#include <optional>
+#include <utility>
 
 #include "convolve/common/json.hpp"
 #include "convolve/common/stats.hpp"
@@ -15,9 +15,23 @@ namespace convolve::obs {
 
 namespace {
 
-std::uint64_t as_u64(const json::JsonValue* v) {
-  if (!v || !v->is_number() || v->number < 0) return 0;
-  return static_cast<std::uint64_t>(v->number);
+// The one conversion of a JSON number to a count, seq, id or bucket bound:
+// a finite value in [0, 2^64) converts; anything else (negative, non-finite
+// like a parsed 1e999, or >= 2^64) is nullopt, so the caller skips and
+// notes the line or bucket instead of casting out of range.
+std::optional<std::uint64_t> to_u64(const json::JsonValue& v) {
+  constexpr double kTwo64 = 18446744073709551616.0;
+  if (!v.is_number() || !(v.number >= 0 && v.number < kTwo64)) {
+    return std::nullopt;
+  }
+  return static_cast<std::uint64_t>(v.number);
+}
+
+// An optional field: absent reads as 0, present must pass to_u64.
+std::optional<std::uint64_t> field_u64(const json::JsonValue& obj,
+                                       const char* key) {
+  const json::JsonValue* v = obj.find(key);
+  return v ? to_u64(*v) : 0;
 }
 
 int fault_kind_index(const std::string& kind) {
@@ -27,33 +41,26 @@ int fault_kind_index(const std::string& kind) {
   return -1;
 }
 
-// Rebuild the dense 65-bucket log2 array from an exported histogram's
-// sparse [lo, hi, count] triples. Indexed by bit_width(lo): lo is 0 or an
-// exact power of two, so the double -> uint64 round trip is lossless
-// (unlike hi, whose 2^64 - 1 is not representable as a double).
-struct DenseHist {
-  std::array<std::uint64_t, 65> buckets{};
-  std::uint64_t count = 0;
-
-  std::uint64_t percentile(double pct) const {
-    return log2_buckets_percentile({buckets.data(), buckets.size()}, count,
-                                   pct);
-  }
-};
-
+// Fold an exported histogram's sparse [lo, hi, count] triples back into
+// dense log2 buckets. Keyed by lo: it is 0 or an exact power of two, so
+// its double round trip is lossless (unlike hi, whose 2^64 - 1 is not
+// representable as a double). Triples that are not three valid numbers
+// are skipped and counted in `bad_buckets`.
 bool load_hist(const json::JsonValue& histograms, const std::string& name,
-               DenseHist& out) {
+               Log2Histogram& out, std::size_t& bad_buckets) {
   const json::JsonValue* h = histograms.find(name);
   if (!h || !h->is_object()) return false;
   const json::JsonValue* buckets = h->find("buckets");
   if (!buckets || !buckets->is_array()) return false;
   for (const json::JsonValue& triple : buckets->arr) {
-    if (!triple.is_array() || triple.arr.size() != 3) continue;
-    const auto lo = static_cast<std::uint64_t>(triple.arr[0].number);
-    const auto c = static_cast<std::uint64_t>(triple.arr[2].number);
-    const int idx = std::bit_width(lo);
-    out.buckets[static_cast<std::size_t>(idx)] += c;
-    out.count += c;
+    const bool shaped = triple.is_array() && triple.arr.size() == 3;
+    const auto lo = shaped ? to_u64(triple.arr[0]) : std::nullopt;
+    const auto c = shaped ? to_u64(triple.arr[2]) : std::nullopt;
+    if (!lo || !c) {
+      ++bad_buckets;
+      continue;
+    }
+    out.record(*lo, *c);
   }
   return true;
 }
@@ -111,18 +118,27 @@ Report build_report(std::string_view events_jsonl,
       continue;
     }
     const std::string& kind = kind_v->str;
-    const int tenant = static_cast<int>(as_u64(ev.find("tenant")));
-    const std::uint64_t seq = as_u64(ev.find("seq"));
-    const int code = static_cast<int>(as_u64(ev.find("code")));
-    const std::uint64_t value = as_u64(ev.find("value"));
+    const auto tenant_v = field_u64(ev, "tenant");
+    const auto seq_v = field_u64(ev, "seq");
+    const auto code_v = field_u64(ev, "code");
+    const auto value_v = field_u64(ev, "value");
+    if (!tenant_v || !seq_v || !code_v || !value_v ||
+        *tenant_v > static_cast<std::uint64_t>(INT_MAX)) {
+      ++bad_lines;
+      continue;
+    }
+    const int tenant = static_cast<int>(*tenant_v);
+    const std::uint64_t seq = *seq_v;
+    const std::uint64_t code = *code_v;
+    const std::uint64_t value = *value_v;
 
     ++report.events;
     TenantReport& t = tenants[tenant];
     t.tenant = tenant;
 
     if (kind == "request_done") {
-      const int status = code & 0x0f;
-      const int op = (code >> 4) & 0x0f;
+      const int status = static_cast<int>(code & 0x0f);
+      const int op = static_cast<int>((code >> 4) & 0x0f);
       ++t.requests;
       ++report.requests;
       if (status < kStatusCount) {
@@ -159,28 +175,39 @@ Report build_report(std::string_view events_jsonl,
     try {
       const json::JsonValue metrics = json::parse(metrics_json);
       if (const json::JsonValue* counters = metrics.find("counters")) {
-        report.events_dropped =
-            as_u64(counters->find("telemetry.events.dropped"));
-        report.spans_dropped =
-            as_u64(counters->find("telemetry.spans.dropped"));
+        for (auto [key, out] :
+             {std::pair{"telemetry.events.dropped", &report.events_dropped},
+              std::pair{"telemetry.spans.dropped", &report.spans_dropped}}) {
+          if (const auto n = field_u64(*counters, key)) {
+            *out = *n;
+          } else {
+            report.notes.push_back(std::string("metrics counter ") + key +
+                                   " is not a count; ignored");
+          }
+        }
       }
       if (const json::JsonValue* hists = metrics.find("histograms")) {
-        DenseHist global;
-        if (load_hist(*hists, "service.latency_ns", global)) {
+        std::size_t bad_buckets = 0;
+        Log2Histogram global;
+        if (load_hist(*hists, "service.latency_ns", global, bad_buckets)) {
           report.latency_count = global.count;
           report.p50_ns = global.percentile(50);
           report.p99_ns = global.percentile(99);
         }
         for (auto& [id, t] : tenants) {
-          DenseHist h;
+          Log2Histogram h;
           if (load_hist(*hists,
-                        "service.tenant.latency_ns." + std::to_string(id),
-                        h) &&
+                        "service.tenant.latency_ns." + std::to_string(id), h,
+                        bad_buckets) &&
               h.count > 0) {
             t.latency_count = h.count;
             t.p50_ns = h.percentile(50);
             t.p99_ns = h.percentile(99);
           }
+        }
+        if (bad_buckets > 0) {
+          report.notes.push_back(std::to_string(bad_buckets) +
+                                 " malformed histogram bucket(s) skipped");
         }
       }
     } catch (const json::JsonParseError& e) {
@@ -208,11 +235,8 @@ Report build_report(std::string_view events_jsonl,
           }
           const json::JsonValue* args = ev.find("args");
           const json::JsonValue* seq_v = args ? args->find("seq") : nullptr;
-          if (!seq_v || !seq_v->is_number()) {
-            ++report.spans_unmatched;
-            continue;
-          }
-          auto it = seq_tenant.find(static_cast<std::uint64_t>(seq_v->number));
+          const auto seq = seq_v ? to_u64(*seq_v) : std::nullopt;
+          const auto it = seq ? seq_tenant.find(*seq) : seq_tenant.end();
           if (it == seq_tenant.end()) {
             ++report.spans_unmatched;
             continue;

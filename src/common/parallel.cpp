@@ -7,10 +7,10 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
-#include <stdexcept>
 #include <string>
 #include <thread>
 
+#include "convolve/common/cli.hpp"
 #include "convolve/common/telemetry.hpp"
 
 namespace convolve::par {
@@ -223,7 +223,10 @@ int init_threads_from_cli(int& argc, char** argv) {
     }
     const int n = parse_thread_count(value);
     if (n == 0) {
-      throw std::invalid_argument("--threads expects an integer in 1..4096");
+      cli::usage_error(std::string("bad value '") + value +
+                           "' for --threads (expects an integer in 1..4096)",
+                       std::string("usage: ") + argv[0] +
+                           " [--threads N] [options]");
     }
     set_thread_count(n);
     for (int j = i + consumed; j < argc; ++j) argv[j - consumed] = argv[j];

@@ -11,9 +11,13 @@ std::uint64_t log2_buckets_percentile(std::span<const std::uint64_t> buckets,
   if (count == 0) return 0;
   // Nearest rank: ceil(pct/100 * count), clamped into [1, count] so that
   // pct <= 0 degenerates to the minimum sample and pct >= 100 to the max.
+  // Clamped before the cast: a double at or past 2^64 (count near 2^64,
+  // pct > 100) or NaN has no uint64 value.
   const double raw = std::ceil(pct / 100.0 * static_cast<double>(count));
-  std::uint64_t rank = raw < 1.0 ? 1 : static_cast<std::uint64_t>(raw);
-  rank = std::min(rank, count);
+  const std::uint64_t rank =
+      raw < 1.0 ? 1
+      : raw < static_cast<double>(count) ? static_cast<std::uint64_t>(raw)
+                                         : count;
   std::uint64_t cumulative = 0;
   for (std::size_t b = 0; b < buckets.size(); ++b) {
     cumulative += buckets[b];

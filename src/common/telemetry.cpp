@@ -23,7 +23,7 @@ namespace {
 // constant-initialized (no dynamic-init ordering hazard).
 constinit std::atomic<Metric*> g_registry_head{nullptr};
 
-// --- span ring buffers -------------------------------------------------
+// --- per-thread record rings ------------------------------------------
 
 struct SpanEvent {
   const char* name;        // string literal, stored by pointer
@@ -33,45 +33,47 @@ struct SpanEvent {
   std::uint64_t arg_value;
 };
 
-// One per thread that ever records a span, an audit event, or a name.
-// Heap-allocated and owned by the global registry below, so a buffer
-// outlives its thread and the exporter can read it after the thread exits.
-// Appends publish via release on the count; the exporter acquires the
-// count and reads only the prefix, which is immutable once published
-// (records never wrap in an epoch). The flight-recorder event ring shares
-// the struct so one thread_local lookup serves both record paths.
-struct ThreadTrace {
-  static constexpr std::size_t kCapacity = 16384;
+// Append-only record ring with a fixed capacity per epoch: a full ring
+// drops (and counts) new records instead of wrapping. The owning thread
+// appends and publishes via release on the count; an exporter acquires
+// the count and copies only the prefix, which is immutable once published.
+// reset() starts a new epoch and must not race an append.
+template <typename Record>
+struct Ring {
+  static constexpr std::uint32_t kCapacity = 16384;
 
-  char name[32] = {0};
   std::atomic<std::uint32_t> count{0};
   std::atomic<std::uint64_t> dropped{0};
-  std::array<SpanEvent, kCapacity> events;
-  std::atomic<std::uint32_t> audit_count{0};
-  std::atomic<std::uint64_t> audit_dropped{0};
-  std::array<Event, kCapacity> audit;
+  std::array<Record, kCapacity> records;
 
-  void append(const char* span_name, std::uint64_t start_ns,
-              std::uint64_t dur_ns, const char* arg_key,
-              std::uint64_t arg_value) {
-    std::uint32_t n = count.load(std::memory_order_relaxed);
+  void append(const Record& r) {
+    const std::uint32_t n = count.load(std::memory_order_relaxed);
     if (n >= kCapacity) {
       dropped.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    events[n] = SpanEvent{span_name, start_ns, dur_ns, arg_key, arg_value};
+    records[n] = r;
     count.store(n + 1, std::memory_order_release);
   }
-
-  void append_audit(const Event& e) {
-    std::uint32_t n = audit_count.load(std::memory_order_relaxed);
-    if (n >= kCapacity) {
-      audit_dropped.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    audit[n] = e;
-    audit_count.store(n + 1, std::memory_order_release);
+  std::vector<Record> published() const {
+    return {records.begin(),
+            records.begin() + count.load(std::memory_order_acquire)};
   }
+  void reset() {
+    count.store(0, std::memory_order_release);
+    dropped.store(0, std::memory_order_relaxed);
+  }
+};
+
+// One per thread that ever records a span, an audit event, or a name:
+// one ring per record type, so one thread_local lookup serves both record
+// paths. Heap-allocated and owned by the global registry below, so the
+// rings outlive their thread and the exporter can read them after the
+// thread exits.
+struct ThreadTrace {
+  char name[32] = {0};
+  Ring<SpanEvent> spans;
+  Ring<Event> events;
 };
 
 struct TraceRegistry {
@@ -157,6 +159,62 @@ struct ThreadSortKey {
   }
 };
 
+// The rest of this file names a ring kind by its ThreadTrace member.
+template <typename Record>
+using RingMember = Ring<Record> ThreadTrace::*;
+
+// fn(thread_name, ring) for one ring kind of every thread, under the
+// registry lock (so names cannot tear against set_thread_name).
+template <typename Record, typename Fn>
+void for_each_ring(RingMember<Record> member, Fn&& fn) {
+  TraceRegistry& reg = trace_registry();
+  std::lock_guard<std::mutex> lock(reg.mu);
+  for (const auto& t : reg.threads) fn(t->name, (*t).*member);
+}
+
+template <typename Record>
+void reset_rings(RingMember<Record> member) {
+  for_each_ring(member, [](const char*, Ring<Record>& r) { r.reset(); });
+}
+
+// One ring kind's drops: the total and each thread that dropped any.
+struct RingDrops {
+  std::uint64_t total = 0;
+  std::vector<std::pair<std::string, std::uint64_t>> by_thread;
+};
+
+template <typename Record>
+RingDrops ring_drops(RingMember<Record> member) {
+  RingDrops d;
+  for_each_ring(member, [&d](const char* thread, const Ring<Record>& r) {
+    const std::uint64_t n = r.dropped.load(std::memory_order_relaxed);
+    d.total += n;
+    if (n != 0) d.by_thread.emplace_back(thread, n);
+  });
+  return d;
+}
+
+// Every thread's published records of one ring kind, in the deterministic
+// export order (ThreadSortKey) so exports are stable across runs.
+template <typename Record>
+struct ThreadRecords {
+  std::string thread;
+  std::vector<Record> records;
+};
+
+template <typename Record>
+std::vector<ThreadRecords<Record>> copy_rings(RingMember<Record> member) {
+  std::vector<ThreadRecords<Record>> out;
+  for_each_ring(member, [&out](const char* thread, const Ring<Record>& r) {
+    out.push_back({thread, r.published()});
+  });
+  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+    return ThreadSortKey::of(a.thread.c_str()) <
+           ThreadSortKey::of(b.thread.c_str());
+  });
+  return out;
+}
+
 }  // namespace
 
 Metric::Metric(const char* name, MetricKind kind) : name_(name), kind_(kind) {
@@ -211,21 +269,15 @@ const char* leak_member_name(const char* base, int slot) {
 }
 }  // namespace
 
-CounterFamily::CounterFamily(const char* base) {
-  for (int i = 0; i < kSlots; ++i) {
+template <typename M>
+MetricFamily<M>::MetricFamily(const char* base) {
+  for (int i = 0; i <= kSlots; ++i) {
     members_[static_cast<std::size_t>(i)] =
-        adopt_leak(new Counter(leak_member_name(base, i)));
+        adopt_leak(new M(leak_member_name(base, i < kSlots ? i : -1)));
   }
-  members_[kSlots] = adopt_leak(new Counter(leak_member_name(base, -1)));
 }
-
-HistogramFamily::HistogramFamily(const char* base) {
-  for (int i = 0; i < kSlots; ++i) {
-    members_[static_cast<std::size_t>(i)] =
-        adopt_leak(new Histogram(leak_member_name(base, i)));
-  }
-  members_[kSlots] = adopt_leak(new Histogram(leak_member_name(base, -1)));
-}
+template MetricFamily<Counter>::MetricFamily(const char*);
+template MetricFamily<Histogram>::MetricFamily(const char*);
 
 const MetricsSnapshot::Entry* MetricsSnapshot::find(
     const std::string& name) const {
@@ -244,16 +296,9 @@ std::uint64_t MetricsSnapshot::histogram_percentile(const std::string& name,
                                                     double pct) const {
   const Entry* e = find(name);
   if (!e || e->kind != MetricKind::kHistogram) return 0;
-  // Entries keep only the nonzero buckets; rebuild the dense 65-bucket
-  // array so the shared nearest-rank core applies unchanged.
-  std::array<std::uint64_t, Histogram::kBuckets> dense{};
-  std::uint64_t total = 0;
-  for (const HistogramBucket& b : e->buckets) {
-    const int idx = Histogram::bucket_index(b.hi);
-    dense[static_cast<std::size_t>(idx)] += b.count;
-    total += b.count;
-  }
-  return log2_buckets_percentile({dense.data(), dense.size()}, total, pct);
+  Log2Histogram h;
+  for (const HistogramBucket& b : e->buckets) h.record(b.lo, b.count);
+  return h.percentile(pct);
 }
 
 MetricsSnapshot snapshot() {
@@ -289,33 +334,20 @@ MetricsSnapshot snapshot() {
   // Synthesized ring-accounting counters: totals always, plus one entry
   // per thread ring that actually dropped (thread names are deterministic,
   // so overloaded rings are attributable run-over-run).
-  {
-    auto add_counter = [&snap](std::string name, std::uint64_t v) {
-      MetricsSnapshot::Entry e;
-      e.name = std::move(name);
-      e.kind = MetricKind::kCounter;
-      e.counter = v;
-      snap.entries.push_back(std::move(e));
-    };
-    TraceRegistry& reg = trace_registry();
-    std::lock_guard<std::mutex> lock(reg.mu);
-    std::uint64_t span_drops = 0;
-    std::uint64_t event_drops = 0;
-    for (const auto& t : reg.threads) {
-      const std::uint64_t sd = t->dropped.load(std::memory_order_relaxed);
-      const std::uint64_t ed =
-          t->audit_dropped.load(std::memory_order_relaxed);
-      span_drops += sd;
-      event_drops += ed;
-      if (sd != 0) {
-        add_counter(std::string("telemetry.spans.dropped.") + t->name, sd);
-      }
-      if (ed != 0) {
-        add_counter(std::string("telemetry.events.dropped.") + t->name, ed);
-      }
+  const auto add_counter = [&snap](std::string name, std::uint64_t v) {
+    MetricsSnapshot::Entry& e = snap.entries.emplace_back();
+    e.name = std::move(name);
+    e.kind = MetricKind::kCounter;
+    e.counter = v;
+  };
+  for (const auto& [base, drops] :
+       {std::pair{"telemetry.spans.dropped", ring_drops(&ThreadTrace::spans)},
+        std::pair{"telemetry.events.dropped",
+                  ring_drops(&ThreadTrace::events)}}) {
+    for (const auto& [thread, n] : drops.by_thread) {
+      add_counter(std::string(base) + "." + thread, n);
     }
-    add_counter("telemetry.spans.dropped", span_drops);
-    add_counter("telemetry.events.dropped", event_drops);
+    add_counter(base, drops.total);
   }
   std::sort(snap.entries.begin(), snap.entries.end(),
             [](const auto& a, const auto& b) { return a.name < b.name; });
@@ -334,46 +366,38 @@ void reset_all_metrics() {
 }
 
 std::string MetricsSnapshot::to_json() const {
-  std::string out = "{\"counters\": {";
-  bool first = true;
-  for (const Entry& e : entries) {
-    if (e.kind != MetricKind::kCounter) continue;
-    if (!first) out += ", ";
-    first = false;
-    out += '"';
-    append_json_escaped(out, e.name.c_str());
-    out += "\": " + std::to_string(e.counter);
-  }
-  out += "}, \"gauges\": {";
-  first = true;
-  for (const Entry& e : entries) {
-    if (e.kind != MetricKind::kGauge) continue;
-    if (!first) out += ", ";
-    first = false;
-    out += '"';
-    append_json_escaped(out, e.name.c_str());
-    out += "\": " + std::to_string(e.gauge);
-  }
-  out += "}, \"histograms\": {";
-  first = true;
-  for (const Entry& e : entries) {
-    if (e.kind != MetricKind::kHistogram) continue;
-    if (!first) out += ", ";
-    first = false;
-    out += '"';
-    append_json_escaped(out, e.name.c_str());
-    out += "\": {\"count\": " + std::to_string(e.count) +
-           ", \"sum\": " + std::to_string(e.sum) + ", \"buckets\": [";
-    for (std::size_t i = 0; i < e.buckets.size(); ++i) {
-      if (i) out += ", ";
-      out += "[" + std::to_string(e.buckets[i].lo) + ", " +
-             std::to_string(e.buckets[i].hi) + ", " +
-             std::to_string(e.buckets[i].count) + "]";
+  // One {"<name>": <value>, ...} section per metric kind, in entry order.
+  std::string out;
+  const auto section = [&](const char* open, MetricKind kind,
+                           const auto& value) {
+    out += open;
+    bool first = true;
+    for (const Entry& e : entries) {
+      if (e.kind != kind) continue;
+      out += first ? "\"" : ", \"";
+      first = false;
+      append_json_escaped(out, e.name.c_str());
+      out += "\": " + value(e);
     }
-    out += "]}";
-  }
-  out += "}}";
-  return out;
+  };
+  section("{\"counters\": {", MetricKind::kCounter,
+          [](const Entry& e) { return std::to_string(e.counter); });
+  section("}, \"gauges\": {", MetricKind::kGauge,
+          [](const Entry& e) { return std::to_string(e.gauge); });
+  section("}, \"histograms\": {", MetricKind::kHistogram,
+          [](const Entry& e) {
+            std::string h = "{\"count\": " + std::to_string(e.count) +
+                            ", \"sum\": " + std::to_string(e.sum) +
+                            ", \"buckets\": [";
+            for (std::size_t i = 0; i < e.buckets.size(); ++i) {
+              if (i) h += ", ";
+              h += "[" + std::to_string(e.buckets[i].lo) + ", " +
+                   std::to_string(e.buckets[i].hi) + ", " +
+                   std::to_string(e.buckets[i].count) + "]";
+            }
+            return h + "]}";
+          });
+  return out + "}}";
 }
 
 std::uint64_t trace_now_ns() {
@@ -392,59 +416,20 @@ void set_thread_name(const char* name) {
 }
 
 void record_span(const char* name, std::uint64_t start_ns,
-                 std::uint64_t dur_ns) {
-  this_thread_trace().append(name, start_ns, dur_ns, nullptr, 0);
-}
-
-void record_span(const char* name, std::uint64_t start_ns,
                  std::uint64_t dur_ns, const char* arg_key,
                  std::uint64_t arg_value) {
-  this_thread_trace().append(name, start_ns, dur_ns, arg_key, arg_value);
+  this_thread_trace().spans.append(
+      SpanEvent{name, start_ns, dur_ns, arg_key, arg_value});
 }
 
 std::uint64_t dropped_span_count() {
-  TraceRegistry& reg = trace_registry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  std::uint64_t total = 0;
-  for (const auto& t : reg.threads) {
-    total += t->dropped.load(std::memory_order_relaxed);
-  }
-  return total;
+  return ring_drops(&ThreadTrace::spans).total;
 }
 
-void reset_trace() {
-  TraceRegistry& reg = trace_registry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  for (const auto& t : reg.threads) {
-    t->count.store(0, std::memory_order_release);
-    t->dropped.store(0, std::memory_order_relaxed);
-  }
-}
+void reset_trace() { reset_rings(&ThreadTrace::spans); }
 
 std::string chrome_trace_json() {
-  // Copy out thread names + event prefixes under the lock, then format.
-  struct ThreadCopy {
-    std::string name;
-    std::vector<SpanEvent> events;
-  };
-  std::vector<ThreadCopy> threads;
-  {
-    TraceRegistry& reg = trace_registry();
-    std::lock_guard<std::mutex> lock(reg.mu);
-    threads.reserve(reg.threads.size());
-    for (const auto& t : reg.threads) {
-      ThreadCopy c;
-      c.name = t->name;
-      std::uint32_t n = t->count.load(std::memory_order_acquire);
-      c.events.assign(t->events.begin(), t->events.begin() + n);
-      threads.push_back(std::move(c));
-    }
-  }
-  std::sort(threads.begin(), threads.end(),
-            [](const ThreadCopy& a, const ThreadCopy& b) {
-              return ThreadSortKey::of(a.name.c_str()) <
-                     ThreadSortKey::of(b.name.c_str());
-            });
+  const auto threads = copy_rings(&ThreadTrace::spans);
 
   std::string out = "{\"traceEvents\": [\n";
   bool first = true;
@@ -459,13 +444,13 @@ std::string chrome_trace_json() {
     std::string ev =
         "{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": 1, \"tid\": " +
         std::to_string(tid) + ", \"args\": {\"name\": \"";
-    append_json_escaped(ev, threads[tid].name.c_str());
+    append_json_escaped(ev, threads[tid].thread.c_str());
     ev += "\"}}";
     emit(ev);
   }
   char buf[64];
   for (std::size_t tid = 0; tid < threads.size(); ++tid) {
-    for (const SpanEvent& s : threads[tid].events) {
+    for (const SpanEvent& s : threads[tid].records) {
       std::string ev = "{\"ph\": \"X\", \"pid\": 1, \"tid\": " +
                        std::to_string(tid) + ", \"name\": \"";
       append_json_escaped(ev, s.name);
@@ -549,59 +534,22 @@ void record_event(EventKind kind, const RequestContext& ctx,
   e.enclave = ctx.enclave;
   e.kind = static_cast<std::uint8_t>(kind);
   e.code = code;
-  this_thread_trace().append_audit(e);
+  this_thread_trace().events.append(e);
 }
 
 std::vector<Event> collect_events() {
-  // Copy ring prefixes under the lock, ordered by the deterministic
-  // thread sort key so the result is stable across runs.
-  struct RingCopy {
-    std::string name;
-    std::vector<Event> events;
-  };
-  std::vector<RingCopy> rings;
-  {
-    TraceRegistry& reg = trace_registry();
-    std::lock_guard<std::mutex> lock(reg.mu);
-    rings.reserve(reg.threads.size());
-    for (const auto& t : reg.threads) {
-      RingCopy c;
-      c.name = t->name;
-      std::uint32_t n = t->audit_count.load(std::memory_order_acquire);
-      c.events.assign(t->audit.begin(), t->audit.begin() + n);
-      rings.push_back(std::move(c));
-    }
-  }
-  std::sort(rings.begin(), rings.end(),
-            [](const RingCopy& a, const RingCopy& b) {
-              return ThreadSortKey::of(a.name.c_str()) <
-                     ThreadSortKey::of(b.name.c_str());
-            });
   std::vector<Event> all;
-  for (const RingCopy& r : rings) {
-    all.insert(all.end(), r.events.begin(), r.events.end());
+  for (const auto& t : copy_rings(&ThreadTrace::events)) {
+    all.insert(all.end(), t.records.begin(), t.records.end());
   }
   return all;
 }
 
 std::uint64_t dropped_event_count() {
-  TraceRegistry& reg = trace_registry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  std::uint64_t total = 0;
-  for (const auto& t : reg.threads) {
-    total += t->audit_dropped.load(std::memory_order_relaxed);
-  }
-  return total;
+  return ring_drops(&ThreadTrace::events).total;
 }
 
-void reset_events() {
-  TraceRegistry& reg = trace_registry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  for (const auto& t : reg.threads) {
-    t->audit_count.store(0, std::memory_order_release);
-    t->audit_dropped.store(0, std::memory_order_relaxed);
-  }
-}
+void reset_events() { reset_rings(&ThreadTrace::events); }
 
 EventLogStats event_log_stats() {
   EventLogStats stats;

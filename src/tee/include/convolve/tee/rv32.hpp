@@ -17,8 +17,8 @@
 // default bytecode engine decodes each 4 KB code page once into a compact
 // bytecode stream (handler byte + packed operands, macro-op fusion of
 // lui+addi / auipc+addi / auipc+lw / cmp+branch pairs) run by a threaded
-// dispatch loop — computed-goto under GCC/Clang, dense switch elsewhere —
-// over the allocation-free, memoized-PMP memory path. The bytecode engine
+// computed-goto dispatch loop over the allocation-free, memoized-PMP
+// memory path. The bytecode engine
 // is differentially tested to be bit-identical to the reference,
 // including trap cause/pc/tval and step accounting.
 #pragma once

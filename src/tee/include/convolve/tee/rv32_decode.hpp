@@ -332,7 +332,7 @@ struct BcOp {
   std::uint8_t rs2 = 0;
   std::int32_t imm = 0;   // kIllegal: raw instruction word (trap tval)
   std::int32_t imm2 = 0;
-  // Computed-goto builds dispatch through this direct handler address
+  // The bytecode loop dispatches through this direct handler address
   // (one dependent load instead of byte -> table -> jump). Decode leaves
   // it null -- the label addresses only exist inside run_bytecode, which
   // links each page on first execution of its decode.

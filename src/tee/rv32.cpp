@@ -431,20 +431,8 @@ Rv32Cpu::DecodedPage* Rv32Cpu::decoded_page(std::uint64_t page_base) {
 //     the first has committed (pc_ = pair pc + 4) and the trap carries
 //     the component's pc/tval.
 
-#if (defined(__GNUC__) || defined(__clang__)) && \
-    !defined(CONVOLVE_BC_FORCE_SWITCH)
-#define CONVOLVE_BC_THREADED 1
-#else
-#define CONVOLVE_BC_THREADED 0
-#endif
-
-#if CONVOLVE_BC_THREADED
 #define BC_CASE(name) lab_##name:
 #define BC_DISPATCH() goto* op->target
-#else
-#define BC_CASE(name) case BcHandler::k##name:
-#define BC_DISPATCH() goto dispatch_top
-#endif
 
 // Budget is a fuel countdown: fuel = max_steps - steps consumed so far,
 // so the per-retire budget check is a single dec-and-test. steps and the
@@ -578,7 +566,6 @@ Rv32Cpu::RunResult Rv32Cpu::run_bytecode(std::uint64_t max_steps) {
   std::uint64_t wlo = 0, whi = 0, wspan = 0;
   std::uint32_t version = 0;
 
-#if CONVOLVE_BC_THREADED
   // Handler table in exact BcHandler order (see static_assert below).
   static const void* const kLabels[] = {
       &&lab_Illegal, &&lab_Lui, &&lab_Auipc, &&lab_Jal, &&lab_Jalr,
@@ -604,7 +591,6 @@ Rv32Cpu::RunResult Rv32Cpu::run_bytecode(std::uint64_t max_steps) {
   };
   static_assert(sizeof(kLabels) / sizeof(kLabels[0]) == kBcHandlerCount,
                 "dispatch table must cover every BcHandler");
-#endif
 
 outer:
   // Full resync: alignment, execute permission, decoded page, validated
@@ -623,14 +609,12 @@ outer:
     }
     page_base = pc & ~static_cast<std::uint64_t>(Machine::kPageBytes - 1);
     DecodedPage* page = decoded_page(page_base);
-#if CONVOLVE_BC_THREADED
     if (!page->bc_linked) {
       // Link handler bytes to label addresses; decode itself is
       // engine-agnostic and the addresses only exist in this function.
       for (BcOp& b : page->bytecode) b.target = kLabels[b.handler];
       page->bc_linked = true;
     }
-#endif
     ops = page->bytecode.data();
     version = page->version;
     // Clamp the window to this page and round inward to whole words. Only
@@ -656,11 +640,6 @@ outer:
   }
   op = ops + ((pc & (Machine::kPageBytes - 1)) >> 2);
   BC_DISPATCH();
-
-#if !CONVOLVE_BC_THREADED
-dispatch_top:
-  switch (static_cast<BcHandler>(op->handler)) {
-#endif
 
   BC_CASE(Illegal) {
     result.trap = Trap{TrapCause::kIllegalInstruction, pc,
@@ -1098,13 +1077,6 @@ dispatch_top:
     CONVOLVE_TELEMETRY_ONLY(++fused_n;)
     BC_FUSED_TAIL();
   }
-
-#if !CONVOLVE_BC_THREADED
-    default:
-      result.trap = Trap{TrapCause::kIllegalInstruction, pc, 0};
-      goto trap_at_pc;
-  }
-#endif
 
 scalar_one:
   // Split path: run exactly one instruction through the reference

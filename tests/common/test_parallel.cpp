@@ -73,10 +73,12 @@ TEST(Threads, CliEqualsFormConsumed) {
 }
 
 // The flag takes what CONVOLVE_THREADS takes: a whole decimal string in
-// 1..4096. Anything else throws and leaves argv and the count untouched.
-// Parsing only -- no region runs at a rejected count.
+// 1..4096. Anything else is a usage error: the binary prints the usage
+// line and exits 2 during parsing, before any region could run. Each case
+// runs in a re-executed child ("threadsafe" style), so the pool threads
+// earlier tests started never cross a fork.
 TEST(Threads, CliRejectsTrailingJunkAndOutOfRangeCounts) {
-  par::ScopedThreadCount outer(2);
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   for (const char* value : {"4abc", "5000", "0", ""}) {
     std::string spaced = value;
     std::string joined = std::string("--threads=") + value;
@@ -85,16 +87,13 @@ TEST(Threads, CliRejectsTrailingJunkAndOutOfRangeCounts) {
     char* separate[] = {prog, flag, spaced.data(), nullptr};
     char* equals[] = {prog, joined.data(), nullptr};
     int argc = 3;
-    EXPECT_THROW(par::init_threads_from_cli(argc, separate),
-                 std::invalid_argument)
+    EXPECT_EXIT(par::init_threads_from_cli(argc, separate),
+                ::testing::ExitedWithCode(2), "usage: prog")
         << "--threads " << value;
-    EXPECT_EQ(argc, 3);
     argc = 2;
-    EXPECT_THROW(par::init_threads_from_cli(argc, equals),
-                 std::invalid_argument)
+    EXPECT_EXIT(par::init_threads_from_cli(argc, equals),
+                ::testing::ExitedWithCode(2), "usage: prog")
         << joined;
-    EXPECT_EQ(argc, 2);
-    EXPECT_EQ(par::thread_count(), 2);
   }
 }
 

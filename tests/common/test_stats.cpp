@@ -240,6 +240,30 @@ TEST(Log2Percentile, ZeroAndMaxBuckets) {
   EXPECT_EQ(log2_bucket_upper_bound(10), 1023u);
 }
 
+// record(v, n) is n samples of v -- the fold that rebuilds dense buckets
+// from a snapshot's or an export's sparse [lo, hi, count] triples.
+TEST(Log2Percentile, CountedRecordMatchesRepeatedRecording) {
+  Log2Histogram counted, repeated;
+  counted.record(8, 3);
+  counted.record(0, 2);
+  for (int i = 0; i < 3; ++i) repeated.record(8);
+  for (int i = 0; i < 2; ++i) repeated.record(0);
+  EXPECT_EQ(counted.buckets, repeated.buckets);
+  EXPECT_EQ(counted.count, 5u);
+  EXPECT_EQ(counted.sum, repeated.sum);
+}
+
+// The nearest rank is clamped before its double -> uint64 cast: with a
+// count near 2^64, pct > 100 or NaN gives a double with no uint64 value.
+TEST(Log2Percentile, HugeCountRankClampedBeforeCast) {
+  Log2Histogram h;
+  h.buckets[1] = ~0ull;
+  h.count = ~0ull;
+  EXPECT_EQ(h.percentile(250), 1u);
+  EXPECT_EQ(h.percentile(std::nan("")), 1u);
+  EXPECT_EQ(h.percentile(50), 1u);
+}
+
 TEST(Log2Percentile, MergeMatchesCombinedRecording) {
   Log2Histogram a, b, combined;
   for (std::uint64_t v : {3ull, 300ull, 12ull}) {

@@ -530,6 +530,61 @@ TEST(TelemetryTrace, SpanArgExportedToChromeTrace) {
   telemetry::reset_trace();
 }
 
+// Spans and events are two instances of one ring type on each thread:
+// overflowing or resetting one must leave the other's records and drop
+// count alone. One thread throughout, so both rings are the caller's.
+TEST(TelemetryTrace, SpanAndEventRingsShareNoState) {
+  constexpr int kOverflow = 16384 + 10;
+  RequestContext ctx;
+  const auto has_event_seq = [](std::uint64_t seq) {
+    for (const auto& e : telemetry::collect_events()) {
+      if (e.seq == seq) return true;
+    }
+    return false;
+  };
+  const auto has_span = [](const char* name) {
+    return telemetry::chrome_trace_json().find(name) != std::string::npos;
+  };
+
+  // A full span ring: events neither drop nor stop recording.
+  telemetry::reset_trace();
+  telemetry::reset_events();
+  for (int i = 0; i < kOverflow; ++i) {
+    telemetry::record_span("test.rings.span_fill", 0, 1);
+  }
+  EXPECT_EQ(telemetry::dropped_span_count(), 10u);
+  EXPECT_EQ(telemetry::dropped_event_count(), 0u);
+  ctx.seq = 9001;
+  telemetry::record_event(telemetry::EventKind::kCowBurst, ctx, 0, 1);
+  EXPECT_TRUE(has_event_seq(9001));
+
+  // The mirror case: a full event ring leaves spans recording.
+  telemetry::reset_trace();
+  telemetry::reset_events();
+  for (int i = 0; i < kOverflow; ++i) {
+    telemetry::record_event(telemetry::EventKind::kCowBurst, ctx, 0, 1);
+  }
+  EXPECT_EQ(telemetry::dropped_event_count(), 10u);
+  EXPECT_EQ(telemetry::dropped_span_count(), 0u);
+  telemetry::record_span("test.rings.after_event_fill", 0, 1);
+  EXPECT_TRUE(has_span("test.rings.after_event_fill"));
+
+  // Each reset clears its own ring only.
+  telemetry::reset_trace();
+  telemetry::reset_events();
+  ctx.seq = 9002;
+  telemetry::record_event(telemetry::EventKind::kCowBurst, ctx, 0, 1);
+  telemetry::record_span("test.rings.kept_span", 0, 1);
+  telemetry::reset_trace();
+  EXPECT_TRUE(has_event_seq(9002));
+  EXPECT_FALSE(has_span("test.rings.kept_span"));
+  telemetry::record_span("test.rings.kept_span", 0, 1);
+  telemetry::reset_events();
+  EXPECT_TRUE(has_span("test.rings.kept_span"));
+  EXPECT_TRUE(telemetry::collect_events().empty());
+  telemetry::reset_trace();
+}
+
 // --- Labeled metric families -------------------------------------------
 
 telemetry::CounterFamily t_fam_counter{"test.family.counter"};

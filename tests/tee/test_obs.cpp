@@ -395,6 +395,37 @@ TEST(ObsReport, FlagsTenantWithOutlierShedRate) {
   EXPECT_FALSE(obs::build_report(jsonl, "", "", 100.0).has_outliers);
 }
 
+// Every JSON number the join converts must be finite and in [0, 2^64).
+// A negative bucket bound must not land in the top bucket (p99 would read
+// 2^64 - 1), and an event whose tenant or seq is out of range must not
+// fold into tenant 0: both are skipped and noted.
+TEST(ObsReport, OutOfRangeNumbersAreSkippedAndNoted) {
+  const std::string metrics =
+      "{\"counters\": {}, \"gauges\": {}, \"histograms\": "
+      "{\"service.latency_ns\": {\"count\": 6, \"sum\": 5000, "
+      "\"buckets\": [[-1, 0, 1], [512, 1023, 5]]}}}";
+  std::string jsonl = synthetic_line("request_done", 1, 0, 0x00, 10);
+  jsonl +=
+      "{\"t_ns\": 1, \"kind\": \"request_done\", \"tenant\": 1e300, "
+      "\"seq\": 1e999, \"fork\": 0, \"enclave\": 0, \"code\": 0, "
+      "\"value\": 0}\n";
+  const obs::Report report = obs::build_report(jsonl, metrics, "");
+  EXPECT_EQ(report.latency_count, 5u);
+  EXPECT_EQ(report.p50_ns, 1023u);
+  EXPECT_EQ(report.p99_ns, 1023u);
+  EXPECT_EQ(report.events, 1u);
+  EXPECT_EQ(report.requests, 1u);
+  ASSERT_EQ(report.tenants.size(), 1u);
+  EXPECT_EQ(report.tenants[0].tenant, 1);
+  const auto noted = [&](const char* what) {
+    return std::any_of(
+        report.notes.begin(), report.notes.end(),
+        [&](const std::string& n) { return n.find(what) != n.npos; });
+  };
+  EXPECT_TRUE(noted("malformed event line"));
+  EXPECT_TRUE(noted("malformed histogram bucket"));
+}
+
 TEST(ObsReport, MalformedLinesAreSkippedAndNoted) {
   std::string jsonl = synthetic_line("request_done", 0, 0, 0x00, 10);
   jsonl += "this is not json\n";

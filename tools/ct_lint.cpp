@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "convolve/analysis/ct_taint.hpp"
+#include "convolve/common/cli.hpp"
 #include "convolve/common/parallel.hpp"
 #include "convolve/common/telemetry.hpp"
 
@@ -177,12 +178,10 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--metrics-out=", 0) == 0) {
       metrics_out = arg.substr(14);
     } else if (arg[0] == '-') {
-      std::fprintf(stderr, "ct_lint: unknown option '%s'\n", argv[i]);
-      std::fprintf(stderr,
-                   "usage: ct_lint [--strict] [--suppressions=FILE] "
-                   "[--threads N] "
-                   "[--trace-out=FILE] [--metrics-out=FILE] [suite...]\n");
-      return 2;
+      convolve::cli::usage_error(
+          "ct_lint: unknown option '" + arg + "'",
+          "usage: ct_lint [--strict] [--suppressions=FILE] [--threads N] "
+          "[--trace-out=FILE] [--metrics-out=FILE] [suite...]");
     } else {
       only.insert(argv[i]);
     }
