@@ -208,6 +208,11 @@ int main(int argc, char** argv) {
       convolve::bench::report_flags_usage() +
       " [--requests=N] [--spawn-reps=N] [--tenants=N] [--sweep=T1,T2,...] "
       "[--min-fork-speedup=X] [--min-scale=X] [--scale-threads=N]";
+  // Bounds: every timing divides by --requests and --spawn-reps; the TDM
+  // wheel has 8 slots to share among --tenants; thread counts follow
+  // --threads (1..4096); a batch holds all --requests at once.
+  constexpr int kMaxRequests = 1 << 20;
+  constexpr int kMaxThreads = 4096;
   using convolve::cli::parse_value;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -218,32 +223,31 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--min-scale=", 0) == 0) {
       min_scale = parse_value<double>(arg.substr(12), arg, usage);
     } else if (arg.rfind("--scale-threads=", 0) == 0) {
-      scale_threads = parse_value<int>(arg.substr(16), arg, usage);
+      scale_threads =
+          parse_value<int>(arg.substr(16), arg, usage, 1, kMaxThreads);
     } else if (arg.rfind("--requests=", 0) == 0) {
-      requests = parse_value<int>(arg.substr(11), arg, usage);
+      requests = parse_value<int>(arg.substr(11), arg, usage, 1, kMaxRequests);
     } else if (arg.rfind("--spawn-reps=", 0) == 0) {
-      spawn_reps = parse_value<int>(arg.substr(13), arg, usage);
+      spawn_reps = parse_value<int>(arg.substr(13), arg, usage, 1);
     } else if (arg.rfind("--tenants=", 0) == 0) {
-      tenants = parse_value<int>(arg.substr(10), arg, usage);
+      tenants = parse_value<int>(arg.substr(10), arg, usage, 1, 8);
     } else if (arg.rfind("--sweep=", 0) == 0) {
       sweep_threads.clear();
       std::string csv = arg.substr(8);
       for (std::size_t pos = 0; pos < csv.size();) {
         std::size_t comma = csv.find(',', pos);
         if (comma == std::string::npos) comma = csv.size();
-        sweep_threads.push_back(
-            parse_value<int>(csv.substr(pos, comma - pos), arg, usage));
+        sweep_threads.push_back(parse_value<int>(
+            csv.substr(pos, comma - pos), arg, usage, 1, kMaxThreads));
         pos = comma + 1;
+      }
+      if (sweep_threads.empty()) {
+        convolve::cli::usage_error("'" + arg + "' lists no thread count",
+                                   usage);
       }
     } else {
       convolve::cli::usage_error("unknown option '" + arg + "'", usage);
     }
-  }
-  if (tenants < 1 || tenants > 8 || sweep_threads.empty()) {
-    std::fprintf(stderr,
-                 "bench_enclave_service: --tenants must be 1..8 (wheel has "
-                 "8 slots) and --sweep must be non-empty\n");
-    return 2;
   }
 
   BenchWorld world;

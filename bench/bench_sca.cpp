@@ -51,7 +51,7 @@ constexpr std::uint32_t kFixedInput = 0x52;
 MaskedTraceTarget sbox_target(unsigned order, double sigma) {
   auto masked = masking::mask_circuit(analysis::aes_sbox_circuit(), order);
   return MaskedTraceTarget(std::move(masked), 8,
-                           {PowerModel::kHammingWeight, sigma},
+                           {sigma},
                            BitOrder::kMsbFirst);
 }
 
@@ -102,25 +102,37 @@ int main(int argc, char** argv) {
       "          [--min-unmasked-fail=N] [--min-masked-ratio=N]\n"
       "          [--lanes=1|64] [--min-speedup=X]\n"
       "          [--speedup-traces=N] [--threads=N]";
+  // Trace counts are bounded so that scenario 3's campaign, the unmasked
+  // failure count times --min-masked-ratio, stays below 2^30 traces (an
+  // int, with room for the curve's doubling checkpoints). CPA needs 8
+  // traces, TVLA 4.
+  constexpr int kMaxUnmaskedTraces = 1 << 20;
+  constexpr int kMaxMaskedRatio = 1000;
   using convolve::cli::parse_value;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (convolve::bench::consume_report_flag(arg, opts)) {
       continue;
     } else if (arg.rfind("--sigma=", 0) == 0) {
-      sigma = parse_value<double>(arg.substr(8), arg, usage);
+      sigma = parse_value<double>(arg.substr(8), arg, usage, 0.0);
     } else if (arg.rfind("--unmasked-traces=", 0) == 0) {
-      unmasked_traces = parse_value<int>(arg.substr(18), arg, usage);
+      unmasked_traces = parse_value<int>(arg.substr(18), arg, usage, 8,
+                                         kMaxUnmaskedTraces);
     } else if (arg.rfind("--min-unmasked-fail=", 0) == 0) {
-      min_unmasked_fail = parse_value<int>(arg.substr(20), arg, usage);
+      min_unmasked_fail = parse_value<int>(arg.substr(20), arg, usage, 0);
     } else if (arg.rfind("--min-masked-ratio=", 0) == 0) {
-      min_masked_ratio = parse_value<int>(arg.substr(19), arg, usage);
+      min_masked_ratio =
+          parse_value<int>(arg.substr(19), arg, usage, 1, kMaxMaskedRatio);
     } else if (arg.rfind("--lanes=", 0) == 0) {
       lanes = parse_value<int>(arg.substr(8), arg, usage);
+      if (!valid_lanes(lanes)) {
+        convolve::cli::usage_error("bad value in '" + arg + "' (1 or 64)",
+                                   usage);
+      }
     } else if (arg.rfind("--min-speedup=", 0) == 0) {
       min_speedup = parse_value<double>(arg.substr(14), arg, usage);
     } else if (arg.rfind("--speedup-traces=", 0) == 0) {
-      speedup_traces = parse_value<int>(arg.substr(17), arg, usage);
+      speedup_traces = parse_value<int>(arg.substr(17), arg, usage, 4);
     } else {
       convolve::cli::usage_error("unknown option '" + arg + "'", usage);
     }

@@ -19,7 +19,7 @@ CrossCheckReport cross_check_probing_vs_tvla(
 
   sca::MaskedTraceTarget target(
       masked, plain_inputs,
-      sca::TraceConfig{sca::PowerModel::kHammingWeight, /*noise_sigma=*/0.0});
+      sca::TraceConfig{/*noise_sigma=*/0.0});
   std::uint32_t fixed = options.fixed_value;
   if (fixed == ~0u) {
     fixed = plain_inputs >= 32 ? ~0u : (1u << plain_inputs) - 1u;

@@ -10,6 +10,7 @@
 #include "convolve/common/stats.hpp"
 #include "convolve/common/telemetry.hpp"
 #include "convolve/masking/gf256.hpp"
+#include "convolve/sca/detail/checkpoints.hpp"
 
 namespace convolve::sca {
 
@@ -45,13 +46,6 @@ struct CpaSums {
   }
 };
 
-std::vector<int> default_checkpoints(int n_traces) {
-  std::vector<int> cps;
-  for (int c = 256; c < n_traces; c *= 2) cps.push_back(c);
-  cps.push_back(n_traces);
-  return cps;
-}
-
 }  // namespace
 
 CpaReport cpa_sbox_attack(const MaskedTraceTarget& target, std::uint8_t key,
@@ -60,12 +54,8 @@ CpaReport cpa_sbox_attack(const MaskedTraceTarget& target, std::uint8_t key,
     throw std::invalid_argument("cpa_sbox_attack: target is not an 8-bit box");
   }
   if (n_traces < 8) throw std::invalid_argument("cpa: need >= 8 traces");
-  if (config.lanes != 1 && config.lanes != PowerTraceSimulator::kLanes) {
-    throw std::invalid_argument("cpa: lanes must be 1 or 64");
-  }
+  const EngineScratch engine = target.make_engine_scratch(config.lanes);
   CONVOLVE_TRACE_SPAN("sca.cpa");
-  const bool use_block =
-      config.lanes != 1 && target.supports_block_capture();
   const int samples = target.samples();
 
   // Hypothesis table: HW(S(v)) for every S-box input v.
@@ -76,10 +66,6 @@ CpaReport cpa_sbox_attack(const MaskedTraceTarget& target, std::uint8_t key,
             masking::aes_sbox(static_cast<std::uint8_t>(v))));
   }
 
-  std::vector<int> checkpoints = config.checkpoints.empty()
-                                     ? default_checkpoints(n_traces)
-                                     : config.checkpoints;
-
   CpaReport report;
   report.samples = samples;
   report.true_key = key;
@@ -87,7 +73,7 @@ CpaReport cpa_sbox_attack(const MaskedTraceTarget& target, std::uint8_t key,
   const Xoshiro256 base(config.seed);
   CpaSums total(samples);
   int done = 0;
-  for (int checkpoint : checkpoints) {
+  for (int checkpoint : campaign_checkpoints(config.checkpoints, n_traces)) {
     if (checkpoint <= done || checkpoint > n_traces) continue;
     const std::uint64_t seg = static_cast<std::uint64_t>(checkpoint - done);
     const std::uint64_t offset = static_cast<std::uint64_t>(done);
@@ -126,13 +112,7 @@ CpaReport cpa_sbox_attack(const MaskedTraceTarget& target, std::uint8_t key,
             }
           };
 
-          TraceScratch scratch;
-          BlockScratch block_scratch;
-          if (use_block) {
-            block_scratch = target.make_block_scratch();
-          } else {
-            scratch = target.make_scratch();
-          }
+          EngineScratch scratch = engine;
           for (std::uint64_t k = r.begin; k < r.end; k += kL) {
             const std::size_t n_act =
                 static_cast<std::size_t>(std::min(kL, r.end - k));
@@ -142,16 +122,9 @@ CpaReport cpa_sbox_attack(const MaskedTraceTarget& target, std::uint8_t key,
                   static_cast<std::uint8_t>(rngs[j].next_u64() & 0xFF);
               values[j] = static_cast<std::uint32_t>(plains[j] ^ key);
             }
-            if (use_block) {
-              target.capture_block({values.data(), n_act},
-                                   {rngs.data(), n_act}, block_scratch,
-                                   {rows.data(), n_act * samp});
-            } else {
-              for (std::size_t j = 0; j < n_act; ++j) {
-                target.capture(values[j], rngs[j], scratch,
-                               {rows.data() + j * samp, samp});
-              }
-            }
+            target.capture_rows({values.data(), n_act}, {rngs.data(), n_act},
+                                scratch, {rows.data(), n_act * samp},
+                                BlockLayout::kTraceMajor);
             for (std::size_t j = 0; j < n_act; ++j) {
               accumulate_trace(plains[j], rows.data() + j * samp);
             }

@@ -29,11 +29,11 @@ struct CpaConfig {
   /// Traces per parallel chunk (multiple of 64 keeps bitsliced blocks
   /// full).
   std::uint64_t grain = 256;
-  /// Evaluation engine: 64 = bitsliced block capture, 1 = scalar oracle.
-  /// The correlation sums are accumulated per trace in ascending index
-  /// order in both modes, so reports are bit-identical between them (and
-  /// at any thread count). Falls back to scalar when the target cannot
-  /// block-capture.
+  /// Evaluation engine (see valid_lanes): 64 = bitsliced block capture,
+  /// 1 = scalar oracle; anything else throws std::invalid_argument before
+  /// a trace is captured. The correlation sums are accumulated per trace
+  /// in ascending index order on both engines, so reports are
+  /// bit-identical between them (and at any thread count).
   int lanes = PowerTraceSimulator::kLanes;
 };
 

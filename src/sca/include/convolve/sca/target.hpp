@@ -7,9 +7,12 @@
 // emits one power trace. At order 0 the sharing is trivial and the target
 // degenerates to the unprotected implementation.
 //
-// capture_batch shards trace acquisition through src/common/parallel with
-// one derived RNG stream per trace index (Xoshiro256::split), so a batch
-// is bit-identical for every --threads N.
+// Every campaign (capture_batch, TVLA, CPA) captures its rows through one
+// entry point, capture_rows, on the engine its lane count names: the
+// bitsliced block pass or the scalar differential oracle. Campaigns shard
+// acquisition through src/common/parallel with one derived RNG stream per
+// trace index (Xoshiro256::split), so their results are bit-identical for
+// every --threads N and both engines.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +29,23 @@ namespace convolve::sca {
 enum class BitOrder : std::uint8_t {
   kLsbFirst,  // input i carries bit i (natural for adders, DOM-AND a/b)
   kMsbFirst,  // input i carries bit (n-1-i) (the AES S-box convention)
+};
+
+/// The lanes rule of every campaign: PowerTraceSimulator::kLanes selects
+/// the bitsliced engine (one gate pass per 64-trace block), 1 the scalar
+/// differential oracle. No other lane count names an engine.
+constexpr bool valid_lanes(int lanes) {
+  return lanes == 1 || lanes == PowerTraceSimulator::kLanes;
+}
+
+/// Per-worker buffers of the one capture engine they were made for (see
+/// MaskedTraceTarget::make_engine_scratch): the bitsliced engine uses
+/// `block`, the scalar oracle `trace` plus one trace-long `row`.
+struct EngineScratch {
+  bool bitsliced = false;
+  BlockScratch block;
+  TraceScratch trace;
+  std::vector<double> row;
 };
 
 class MaskedTraceTarget {
@@ -52,12 +72,6 @@ class MaskedTraceTarget {
   void capture(std::uint32_t plain_value, Xoshiro256& rng,
                TraceScratch& scratch, std::span<double> out) const;
 
-  /// True when the bitsliced capture_block path applies (Hamming-weight
-  /// model; the HD model stays on the scalar path).
-  bool supports_block_capture() const {
-    return simulator_.supports_block_capture();
-  }
-
   BlockScratch make_block_scratch() const {
     return simulator_.make_block_scratch();
   }
@@ -67,21 +81,26 @@ class MaskedTraceTarget {
   /// randomness, gadget randomness and noise from rngs[j] in exactly the
   /// order capture() would -- trace j of `out` is bit-identical to a
   /// scalar capture of the same value with the same rng state, laid out
-  /// per `layout` (trace-major rows by default; sample-major columns for
-  /// the vectorized statistics folds). plain_values.size() == rngs.size()
-  /// is the active lane count (1..kLanes; short tail blocks are fine).
+  /// per `layout` (trace-major rows, or sample-major columns for the
+  /// vectorized statistics folds). plain_values.size() == rngs.size() is
+  /// the active lane count (1..kLanes; short tail blocks are fine).
   void capture_block(std::span<const std::uint32_t> plain_values,
                      std::span<Xoshiro256> rngs, BlockScratch& scratch,
-                     std::span<double> out,
-                     BlockLayout layout = BlockLayout::kTraceMajor) const;
+                     std::span<double> out, BlockLayout layout) const;
 
-  /// Noiseless capture_block variant emitting raw sample-major Hamming
-  /// counts as bytes (see PowerTraceSimulator::capture_block_counts);
-  /// feeds the exact integer TVLA fold. Throws when noise_sigma > 0 or
-  /// when counts do not fit a byte (counter_planes > 8).
-  void capture_block_counts(std::span<const std::uint32_t> plain_values,
-                            std::span<Xoshiro256> rngs, BlockScratch& scratch,
-                            std::span<std::uint8_t> out) const;
+  /// Buffers for the engine `lanes` names (see valid_lanes). Throws
+  /// std::invalid_argument for any other lane count, so a campaign that
+  /// makes its scratch first rejects a bad count before any capture.
+  EngineScratch make_engine_scratch(int lanes) const;
+
+  /// The engine switch of every row capture: trace j evaluates
+  /// plain_values[j], drawing from rngs[j] (1..kLanes traces), on the
+  /// engine `scratch` was made for -- one bitsliced capture_block pass, or
+  /// the scalar capture() one trace at a time -- and lands in `out` per
+  /// `layout`. Both engines write bit-identical values.
+  void capture_rows(std::span<const std::uint32_t> plain_values,
+                    std::span<Xoshiro256> rngs, EngineScratch& scratch,
+                    std::span<double> out, BlockLayout layout) const;
 
   BlockSumsAccum make_block_sums_accum() const {
     return simulator_.make_block_sums_accum();
@@ -141,11 +160,9 @@ using PlainValueFn =
 /// Deterministic parallel batch capture: trace i draws everything from
 /// base_rng.split(i), rows are written independently, so the batch depends
 /// only on (target, n_traces, plain, base_rng) -- never the thread count
-/// and never the lane width. `lanes` selects the evaluation engine: 64
-/// shards the batch into aligned 64-trace blocks captured bitsliced (one
-/// gate pass per block), 1 is the scalar differential oracle. Both produce
-/// bit-identical batches; 64 silently falls back to 1 when the target
-/// cannot block-capture (Hamming-distance model).
+/// and never the lane width. The batch is sharded into aligned 64-trace
+/// blocks captured by capture_rows on the engine `lanes` names (see
+/// valid_lanes; anything else throws std::invalid_argument).
 TraceBatch capture_batch(const MaskedTraceTarget& target,
                          std::uint64_t n_traces, const PlainValueFn& plain,
                          const Xoshiro256& base_rng,

@@ -33,13 +33,12 @@ struct TvlaConfig {
   /// Traces per parallel chunk. A multiple of 64 keeps the bitsliced
   /// blocks inside a chunk full (only one tail block per chunk).
   std::uint64_t grain = 256;
-  /// Evaluation engine: 64 = bitsliced (64 traces per gate pass), 1 =
-  /// scalar differential oracle. Both modes shard traces into the same
-  /// 64-trace accumulation blocks and fold them through the same
-  /// Welford::add_block calls, so the resulting statistics -- every
-  /// checkpoint of the curve included -- are bit-identical, not merely
-  /// close. 64 falls back to the scalar engine when the target cannot
-  /// block-capture (Hamming-distance model).
+  /// Evaluation engine (see valid_lanes): 64 = bitsliced (64 traces per
+  /// gate pass), 1 = scalar differential oracle; anything else throws
+  /// std::invalid_argument before a trace is captured. Both engines
+  /// shard traces into the same 64-trace accumulation blocks and fold
+  /// them the same way, so the resulting statistics -- every checkpoint
+  /// of the curve included -- are bit-identical, not merely close.
   int lanes = PowerTraceSimulator::kLanes;
 };
 

@@ -21,6 +21,15 @@ telemetry::Counter t_samples{"sca.samples"};
 telemetry::Counter t_lane_blocks{"sca.lane_blocks"};
 telemetry::Counter t_lane_slots{"sca.lane_slots"};
 telemetry::Counter t_lanes_active{"sca.lanes_active"};
+
+// One bitsliced block of n_active traces, `samples` samples each.
+void count_block(std::uint64_t n_active, int samples) {
+  t_traces.add(n_active);
+  t_samples.add(n_active * static_cast<std::uint64_t>(samples));
+  t_lane_blocks.add(1);
+  t_lane_slots.add(static_cast<std::uint64_t>(PowerTraceSimulator::kLanes));
+  t_lanes_active.add(n_active);
+}
 }  // namespace
 #endif
 
@@ -61,9 +70,10 @@ void MaskedTraceTarget::capture(std::uint32_t plain_value, Xoshiro256& rng,
     scratch.inputs[base + order] = bit;
   }
   simulator_.capture(scratch.inputs, rng, scratch, out);
-  // Counted here, at the single choke-point every capture path funnels
-  // through (tvla, cpa, capture_batch, capture_averaged). Two relaxed adds
-  // per trace are noise next to the gate-level simulation above.
+  // Counted here, at the single choke-point every scalar capture funnels
+  // through (capture_rows, TVLA's exact-fold oracle, capture_averaged).
+  // Two relaxed adds per trace are noise next to the gate-level simulation
+  // above.
   CONVOLVE_TELEMETRY_ONLY(t_traces.add(1); t_samples.add(out.size());)
 }
 
@@ -122,42 +132,18 @@ void MaskedTraceTarget::fill_input_planes(
 void MaskedTraceTarget::capture_block(
     std::span<const std::uint32_t> plain_values, std::span<Xoshiro256> rngs,
     BlockScratch& scratch, std::span<double> out, BlockLayout layout) const {
-  const std::size_t n_active = plain_values.size();
   fill_input_planes(plain_values, rngs, scratch);
   simulator_.capture_block(rngs, scratch, out, layout);
-  CONVOLVE_TELEMETRY_ONLY(
-      t_traces.add(n_active); t_samples.add(out.size());
-      t_lane_blocks.add(1);
-      t_lane_slots.add(static_cast<std::uint64_t>(PowerTraceSimulator::kLanes));
-      t_lanes_active.add(n_active);)
-}
-
-void MaskedTraceTarget::capture_block_counts(
-    std::span<const std::uint32_t> plain_values, std::span<Xoshiro256> rngs,
-    BlockScratch& scratch, std::span<std::uint8_t> out) const {
-  const std::size_t n_active = plain_values.size();
-  fill_input_planes(plain_values, rngs, scratch);
-  simulator_.capture_block_counts(rngs, scratch, out);
-  CONVOLVE_TELEMETRY_ONLY(
-      t_traces.add(n_active); t_samples.add(out.size());
-      t_lane_blocks.add(1);
-      t_lane_slots.add(static_cast<std::uint64_t>(PowerTraceSimulator::kLanes));
-      t_lanes_active.add(n_active);)
+  CONVOLVE_TELEMETRY_ONLY(count_block(plain_values.size(), samples());)
 }
 
 void MaskedTraceTarget::accumulate_block_sums(
     std::span<const std::uint32_t> plain_values, std::span<Xoshiro256> rngs,
     BlockScratch& scratch, std::uint64_t class_mask,
     BlockSumsAccum& accum) const {
-  const std::size_t n_active = plain_values.size();
   fill_input_planes(plain_values, rngs, scratch);
   simulator_.accumulate_block_sums(rngs, scratch, class_mask, accum);
-  CONVOLVE_TELEMETRY_ONLY(
-      t_traces.add(n_active);
-      t_samples.add(n_active * static_cast<std::uint64_t>(samples()));
-      t_lane_blocks.add(1);
-      t_lane_slots.add(static_cast<std::uint64_t>(PowerTraceSimulator::kLanes));
-      t_lanes_active.add(n_active);)
+  CONVOLVE_TELEMETRY_ONLY(count_block(plain_values.size(), samples());)
 }
 
 std::vector<double> MaskedTraceTarget::capture_averaged(
@@ -169,15 +155,51 @@ std::vector<double> MaskedTraceTarget::capture_averaged(
       });
 }
 
+EngineScratch MaskedTraceTarget::make_engine_scratch(int lanes) const {
+  if (!valid_lanes(lanes)) {
+    throw std::invalid_argument("sca: lanes must be 1 or 64");
+  }
+  EngineScratch s;
+  s.bitsliced = lanes == PowerTraceSimulator::kLanes;
+  if (s.bitsliced) {
+    s.block = make_block_scratch();
+  } else {
+    s.trace = make_scratch();
+    s.row.resize(static_cast<std::size_t>(samples()));
+  }
+  return s;
+}
+
+void MaskedTraceTarget::capture_rows(
+    std::span<const std::uint32_t> plain_values, std::span<Xoshiro256> rngs,
+    EngineScratch& scratch, std::span<double> out, BlockLayout layout) const {
+  if (scratch.bitsliced) {
+    capture_block(plain_values, rngs, scratch.block, out, layout);
+    return;
+  }
+  const std::size_t n = plain_values.size();
+  const std::size_t samp = static_cast<std::size_t>(samples());
+  if (rngs.size() != n || out.size() != n * samp) {
+    throw std::invalid_argument("capture_rows: values/rngs/out size mismatch");
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    if (layout == BlockLayout::kTraceMajor) {
+      capture(plain_values[j], rngs[j], scratch.trace,
+              out.subspan(j * samp, samp));
+    } else {
+      capture(plain_values[j], rngs[j], scratch.trace, scratch.row);
+      for (std::size_t s = 0; s < samp; ++s) out[s * n + j] = scratch.row[s];
+    }
+  }
+}
+
 TraceBatch capture_batch(const MaskedTraceTarget& target,
                          std::uint64_t n_traces, const PlainValueFn& plain,
                          const Xoshiro256& base_rng, int lanes) {
   CONVOLVE_TRACE_SPAN("sca.capture_batch");
+  const EngineScratch engine = target.make_engine_scratch(lanes);
   constexpr std::uint64_t kL =
       static_cast<std::uint64_t>(PowerTraceSimulator::kLanes);
-  if (lanes != 1 && lanes != PowerTraceSimulator::kLanes) {
-    throw std::invalid_argument("capture_batch: lanes must be 1 or 64");
-  }
   TraceBatch batch;
   batch.samples = target.samples();
   batch.n = n_traces;
@@ -185,45 +207,29 @@ TraceBatch capture_batch(const MaskedTraceTarget& target,
                     0.0);
   const std::uint64_t samples = static_cast<std::uint64_t>(batch.samples);
 
-  if (lanes != 1 && target.supports_block_capture()) {
-    // Bitsliced: shard over aligned 64-trace blocks. Row i still depends
-    // only on base_rng.split(i), so the batch matches the scalar path
-    // bit-for-bit at any thread count.
-    const std::uint64_t n_blocks = (n_traces + kL - 1) / kL;
-    const std::uint64_t n_chunks = par::chunk_count(n_blocks, 4);
-    par::for_each_chunk(n_chunks, [&](std::uint64_t c) {
-      const par::Range r = par::chunk_range(n_blocks, n_chunks, c);
-      BlockScratch scratch = target.make_block_scratch();
-      std::array<Xoshiro256, kL> rngs;
-      std::array<std::uint32_t, kL> values;
-      for (std::uint64_t b = r.begin; b < r.end; ++b) {
-        const std::uint64_t i0 = b * kL;
-        const std::size_t n_act =
-            static_cast<std::size_t>(std::min(kL, n_traces - i0));
-        for (std::size_t j = 0; j < n_act; ++j) {
-          rngs[j] = base_rng.split(i0 + j);
-          values[j] = plain(i0 + j, rngs[j]);
-        }
-        target.capture_block({values.data(), n_act}, {rngs.data(), n_act},
-                             scratch,
-                             {batch.data.data() + i0 * samples,
-                              n_act * static_cast<std::size_t>(samples)});
-      }
-    });
-    return batch;
-  }
-
-  const std::uint64_t grain = 32;
-  const std::uint64_t n_chunks = par::chunk_count(n_traces, grain);
+  // Shard over aligned 64-trace blocks. Row i depends only on
+  // base_rng.split(i), so the batch is the same on either engine and at
+  // any thread count.
+  const std::uint64_t n_blocks = (n_traces + kL - 1) / kL;
+  const std::uint64_t n_chunks = par::chunk_count(n_blocks, 4);
   par::for_each_chunk(n_chunks, [&](std::uint64_t c) {
-    const par::Range r = par::chunk_range(n_traces, n_chunks, c);
-    TraceScratch scratch = target.make_scratch();
-    for (std::uint64_t i = r.begin; i < r.end; ++i) {
-      Xoshiro256 rng = base_rng.split(i);
-      const std::uint32_t value = plain(i, rng);
-      std::span<double> out{batch.data.data() + i * samples,
-                            static_cast<std::size_t>(samples)};
-      target.capture(value, rng, scratch, out);
+    const par::Range r = par::chunk_range(n_blocks, n_chunks, c);
+    EngineScratch scratch = engine;
+    std::array<Xoshiro256, kL> rngs;
+    std::array<std::uint32_t, kL> values;
+    for (std::uint64_t b = r.begin; b < r.end; ++b) {
+      const std::uint64_t i0 = b * kL;
+      const std::size_t n_act =
+          static_cast<std::size_t>(std::min(kL, n_traces - i0));
+      for (std::size_t j = 0; j < n_act; ++j) {
+        rngs[j] = base_rng.split(i0 + j);
+        values[j] = plain(i0 + j, rngs[j]);
+      }
+      target.capture_rows({values.data(), n_act}, {rngs.data(), n_act},
+                          scratch,
+                          {batch.data.data() + i0 * samples,
+                           n_act * static_cast<std::size_t>(samples)},
+                          BlockLayout::kTraceMajor);
     }
   });
   return batch;

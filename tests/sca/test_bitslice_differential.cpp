@@ -88,7 +88,7 @@ Case random_case(Xoshiro256& rng) {
                                       order);
   return Case{n_inputs, order, sigma,
               MaskedTraceTarget(std::move(masked), n_inputs,
-                                {PowerModel::kHammingWeight, sigma}, bits)};
+                                {sigma}, bits)};
 }
 
 // Random plain-value function mixing a per-case secret into rng-drawn
@@ -148,7 +148,7 @@ void expect_tvla_identical(const Case& c, int n_traces, std::uint64_t seed) {
 MaskedTraceTarget sbox_target(unsigned order, double sigma) {
   auto masked = masking::mask_circuit(analysis::aes_sbox_circuit(), order);
   return MaskedTraceTarget(std::move(masked), 8,
-                           {PowerModel::kHammingWeight, sigma},
+                           {sigma},
                            BitOrder::kMsbFirst);
 }
 

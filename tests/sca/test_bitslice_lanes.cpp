@@ -2,15 +2,18 @@
 // straddle the 64-lane block width, degenerate netlists (inputs only, one
 // gate), tail-lane masking in the packed accumulators, and counter-plane
 // counts that force every fallback path (register CSA <= 4 planes, ripple
-// 5..8, exact fold disabled > 8).
+// 5..8, exact fold disabled > 8), and the lanes rule every campaign shares.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
+#include "convolve/analysis/aes_sbox.hpp"
 #include "convolve/common/rng.hpp"
 #include "convolve/masking/circuit.hpp"
+#include "convolve/sca/cpa.hpp"
 #include "convolve/sca/target.hpp"
 #include "convolve/sca/tvla.hpp"
 
@@ -24,7 +27,7 @@ MaskedTraceTarget wrap(masking::Circuit plain, unsigned order, double sigma,
                        int n_inputs) {
   auto masked = masking::mask_circuit(plain, order);
   return MaskedTraceTarget(std::move(masked), n_inputs,
-                           {PowerModel::kHammingWeight, sigma});
+                           {sigma});
 }
 
 /// Inputs only -- every wire is at depth 0, one sample per trace.
@@ -113,7 +116,6 @@ TEST(BitsliceLanes, WideGroupBeyondExactFoldStillAgrees) {
   // path, and the engines must still match bit-for-bit.
   const auto target = wrap(wide_group_circuit(300), 0, 0.0, 2);
   EXPECT_GT(target.simulator().counter_planes(), 8);
-  EXPECT_TRUE(target.supports_block_capture());
   expect_lanes_agree(target, 100, 0x3);
   TvlaConfig w, n;
   w.lanes = 64;
@@ -155,35 +157,6 @@ TEST(BitsliceLanes, SampleMajorLayoutIsATranspose) {
     for (std::size_t s = 0; s < samples; ++s) {
       EXPECT_EQ(tmajor[j * samples + s], smajor[s * n_act + j]);
     }
-  }
-}
-
-TEST(BitsliceLanes, BlockCountsMatchDoubleCapture) {
-  const auto target = wrap(masking::toy_sbox_circuit(), 1, 0.0, 4);
-  const std::size_t n_act = 51;
-  const std::size_t samples = static_cast<std::size_t>(target.samples());
-  const Xoshiro256 base(0x22BB);
-  std::array<Xoshiro256, 64> rngs;
-  std::array<std::uint32_t, 64> values;
-  for (std::size_t j = 0; j < n_act; ++j) {
-    rngs[j] = base.split(j);
-    values[j] = static_cast<std::uint32_t>(rngs[j].next_u64() & 0xF);
-  }
-  BlockScratch scratch = target.make_block_scratch();
-  std::vector<double> doubles(n_act * samples);
-  std::vector<std::uint8_t> bytes(n_act * samples);
-  {
-    auto r = rngs;
-    target.capture_block({values.data(), n_act}, {r.data(), n_act}, scratch,
-                         doubles, BlockLayout::kSampleMajor);
-  }
-  {
-    auto r = rngs;
-    target.capture_block_counts({values.data(), n_act}, {r.data(), n_act},
-                                scratch, bytes);
-  }
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    EXPECT_EQ(static_cast<double>(bytes[i]), doubles[i]) << "i=" << i;
   }
 }
 
@@ -276,6 +249,35 @@ TEST(BitsliceLanes, TvlaTailChunksAgreeAtOddGrain) {
   const TvlaReport rn = tvla_fixed_vs_random(target, 5, 1000, n);
   EXPECT_EQ(rw.t1, rn.t1);
   EXPECT_EQ(rw.t2, rn.t2);
+}
+
+TEST(BitsliceLanes, CampaignsRejectBadLaneCounts) {
+  // Only 1 (scalar oracle) and 64 (bitsliced) name an engine; every
+  // campaign refuses anything else before it captures a trace.
+  auto masked = masking::mask_circuit(analysis::aes_sbox_circuit(), 0);
+  const MaskedTraceTarget target(std::move(masked), 8, {0.0},
+                                 BitOrder::kMsbFirst);
+  int plain_calls = 0;
+  const PlainValueFn plain = [&](std::uint64_t, Xoshiro256&) {
+    ++plain_calls;
+    return 0u;
+  };
+  for (int lanes : {0, 7, 32, 65}) {
+    EXPECT_THROW(capture_batch(target, 100, plain, Xoshiro256(1), lanes),
+                 std::invalid_argument)
+        << "lanes=" << lanes;
+    TvlaConfig tc;
+    tc.lanes = lanes;
+    EXPECT_THROW(tvla_fixed_vs_random(target, 0x52, 100, tc),
+                 std::invalid_argument)
+        << "lanes=" << lanes;
+    CpaConfig cc;
+    cc.lanes = lanes;
+    EXPECT_THROW(cpa_sbox_attack(target, 0x3C, 100, cc),
+                 std::invalid_argument)
+        << "lanes=" << lanes;
+  }
+  EXPECT_EQ(plain_calls, 0);
 }
 
 }  // namespace

@@ -17,7 +17,7 @@ namespace {
 MaskedTraceTarget sbox_target(unsigned order, double sigma) {
   auto masked = masking::mask_circuit(analysis::aes_sbox_circuit(), order);
   return MaskedTraceTarget(std::move(masked), 8,
-                           {PowerModel::kHammingWeight, sigma},
+                           {sigma},
                            BitOrder::kMsbFirst);
 }
 
@@ -77,7 +77,7 @@ TEST(Cpa, ReportBitIdenticalAcrossThreadCounts) {
 TEST(Cpa, RejectsNonByteTargets) {
   auto masked = masking::mask_circuit(masking::full_adder_circuit(), 0);
   const MaskedTraceTarget target(std::move(masked), 3,
-                                 {PowerModel::kHammingWeight, 0.0});
+                                 {0.0});
   EXPECT_THROW(cpa_sbox_attack(target, 0x3C, 256), std::invalid_argument);
 }
 

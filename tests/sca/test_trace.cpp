@@ -42,7 +42,7 @@ TEST(PowerTrace, DepthGroupsFollowCombinationalDepth) {
 
 TEST(PowerTrace, HammingWeightSamplesMatchManualAccumulation) {
   const Circuit fa = masking::full_adder_circuit();
-  PowerTraceSimulator sim(fa, {PowerModel::kHammingWeight, 0.0});
+  PowerTraceSimulator sim(fa, {0.0});
   TraceScratch scratch = sim.make_scratch();
   Xoshiro256 rng(1);
   const std::vector<std::uint8_t> inputs = {1, 0, 1};
@@ -60,7 +60,7 @@ TEST(PowerTrace, HammingWeightSamplesMatchManualAccumulation) {
 
 TEST(PowerTrace, SeededCaptureIsReproducible) {
   auto masked = masking::mask_circuit(masking::full_adder_circuit(), 1);
-  PowerTraceSimulator sim(masked.circuit, {PowerModel::kHammingWeight, 0.5});
+  PowerTraceSimulator sim(masked.circuit, {0.5});
   TraceScratch scratch = sim.make_scratch();
   const std::vector<std::uint8_t> inputs(
       static_cast<std::size_t>(masked.circuit.num_inputs()), 1);
@@ -76,7 +76,7 @@ TEST(PowerTrace, SeededCaptureIsReproducible) {
 
 TEST(PowerTrace, TransitionModelCountsToggles) {
   const Circuit fa = masking::full_adder_circuit();
-  PowerTraceSimulator sim(fa, {PowerModel::kHammingDistance, 0.0});
+  PowerTraceSimulator sim(fa, {0.0});
   TraceScratch scratch = sim.make_scratch();
   Xoshiro256 rng(7);
   const std::vector<std::uint8_t> zeros = {0, 0, 0};
@@ -98,7 +98,7 @@ TEST(PowerTrace, TransitionModelCountsToggles) {
 TEST(PowerTrace, OrderZeroAveragedEqualsSingleCapture) {
   auto masked = masking::mask_circuit(masking::full_adder_circuit(), 0);
   MaskedTraceTarget target(std::move(masked), 3,
-                           {PowerModel::kHammingWeight, 0.0});
+                           {0.0});
   TraceScratch scratch = target.make_scratch();
   Xoshiro256 rng(9);
   std::vector<double> one(static_cast<std::size_t>(target.samples()));
@@ -111,7 +111,7 @@ TEST(PowerTrace, OrderZeroAveragedEqualsSingleCapture) {
 TEST(PowerTrace, BatchCaptureBitIdenticalAcrossThreadCounts) {
   auto masked = masking::mask_circuit(masking::full_adder_circuit(), 1);
   MaskedTraceTarget target(std::move(masked), 3,
-                           {PowerModel::kHammingWeight, 1.0});
+                           {1.0});
   const Xoshiro256 base(0xBA7C4);
   const auto plain = [](std::uint64_t, Xoshiro256& rng) {
     return static_cast<std::uint32_t>(rng.next_u64() & 7);

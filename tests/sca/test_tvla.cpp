@@ -18,7 +18,7 @@ namespace {
 MaskedTraceTarget sbox_target(unsigned order, double sigma) {
   auto masked = masking::mask_circuit(analysis::aes_sbox_circuit(), order);
   return MaskedTraceTarget(std::move(masked), 8,
-                           {PowerModel::kHammingWeight, sigma},
+                           {sigma},
                            BitOrder::kMsbFirst);
 }
 

@@ -22,12 +22,12 @@
 // error (an input larger than json::kMaxBytes is a parse error).
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "convolve/common/cli.hpp"
 #include "convolve/common/json.hpp"
 
 namespace {
@@ -40,17 +40,14 @@ struct CounterSpec {
   double tolerance = -1.0;  // <0 means "use the global tolerance"
 };
 
-int usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s BASELINE.json CURRENT.json [--tolerance=T]\n"
-      "          [--counter=NAME:higher|lower[:TOL]] ...\n"
-      "\n"
-      "Compares two bench reports (bench_report.hpp schema) and exits 1\n"
-      "when real_time (lower-better) or any named counter regressed by\n"
-      "more than the tolerance (fraction, default 0.10).\n",
-      argv0);
-  return 2;
+std::string usage_text(const char* argv0) {
+  return std::string("usage: ") + argv0 +
+         " BASELINE.json CURRENT.json [--tolerance=T]\n"
+         "          [--counter=NAME:higher|lower[:TOL]] ...\n"
+         "\n"
+         "Compares two bench reports (bench_report.hpp schema) and exits 1\n"
+         "when real_time (lower-better) or any named counter regressed by\n"
+         "more than the tolerance (a finite fraction >= 0, default 0.10).";
 }
 
 // Throws JsonParseError when the file exceeds json::kMaxBytes.
@@ -61,26 +58,30 @@ bool read_file(const std::string& path, std::string& out) {
   return true;
 }
 
-bool parse_counter_spec(const std::string& body, CounterSpec& spec) {
+/// `arg` is the whole --counter=NAME:higher|lower[:TOL] argument; a
+/// malformed spec or tolerance is a usage error (exit 2).
+CounterSpec parse_counter_spec(const std::string& arg,
+                               const std::string& usage) {
+  const std::string body = arg.substr(10);
+  CounterSpec spec;
   const std::size_t colon = body.find(':');
-  if (colon == std::string::npos || colon == 0) return false;
-  spec.name = body.substr(0, colon);
-  std::string rest = body.substr(colon + 1);
+  const std::string rest =
+      colon == std::string::npos ? "" : body.substr(colon + 1);
   const std::size_t colon2 = rest.find(':');
-  std::string dir = rest.substr(0, colon2);
-  if (dir == "higher") {
-    spec.higher_is_better = true;
-  } else if (dir == "lower") {
-    spec.higher_is_better = false;
-  } else {
-    return false;
+  const std::string dir = rest.substr(0, colon2);
+  if (colon == std::string::npos || colon == 0 ||
+      (dir != "higher" && dir != "lower")) {
+    convolve::cli::usage_error(
+        "bad --counter spec '" + body + "' (want NAME:higher|lower[:TOL])",
+        usage);
   }
+  spec.name = body.substr(0, colon);
+  spec.higher_is_better = dir == "higher";
   if (colon2 != std::string::npos) {
-    char* end = nullptr;
-    spec.tolerance = std::strtod(rest.c_str() + colon2 + 1, &end);
-    if (end == nullptr || *end != '\0' || spec.tolerance < 0.0) return false;
+    spec.tolerance = convolve::cli::parse_value<double>(
+        rest.substr(colon2 + 1), arg, usage, 0.0);
   }
-  return true;
+  return spec;
 }
 
 /// name -> benchmark entry object, keyed for the baseline/current join.
@@ -137,38 +138,28 @@ int main(int argc, char** argv) {
   std::string baseline_path, current_path;
   double tolerance = 0.10;
   std::vector<CounterSpec> specs;
+  const std::string usage = usage_text(argv[0]);
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--tolerance=", 0) == 0) {
-      char* end = nullptr;
-      tolerance = std::strtod(arg.c_str() + 12, &end);
-      if (end == nullptr || *end != '\0' || tolerance < 0.0) {
-        std::fprintf(stderr, "bench_diff: bad --tolerance value\n");
-        return 2;
-      }
+      tolerance =
+          convolve::cli::parse_value<double>(arg.substr(12), arg, usage, 0.0);
     } else if (arg.rfind("--counter=", 0) == 0) {
-      CounterSpec spec;
-      if (!parse_counter_spec(arg.substr(10), spec)) {
-        std::fprintf(stderr,
-                     "bench_diff: bad --counter spec '%s' "
-                     "(want NAME:higher|lower[:TOL])\n",
-                     arg.c_str() + 10);
-        return 2;
-      }
-      specs.push_back(spec);
+      specs.push_back(parse_counter_spec(arg, usage));
     } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "bench_diff: unknown flag '%s'\n", arg.c_str());
-      return usage(argv[0]);
+      convolve::cli::usage_error("unknown flag '" + arg + "'", usage);
     } else if (baseline_path.empty()) {
       baseline_path = arg;
     } else if (current_path.empty()) {
       current_path = arg;
     } else {
-      return usage(argv[0]);
+      convolve::cli::usage_error("unexpected argument '" + arg + "'", usage);
     }
   }
-  if (baseline_path.empty() || current_path.empty()) return usage(argv[0]);
+  if (baseline_path.empty() || current_path.empty()) {
+    convolve::cli::usage_error("need BASELINE.json and CURRENT.json", usage);
+  }
 
   JsonValue baseline, current;
   try {
