@@ -6,11 +6,13 @@
 // Keccak/AES and its bootrom/stack findings.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <memory>
 
 #include "convolve/crypto/aead.hpp"
 #include "convolve/crypto/aes.hpp"
 #include "convolve/crypto/chacha20.hpp"
+#include "convolve/crypto/detail/pqc_ntt.hpp"
 #include "convolve/crypto/dilithium.hpp"
 #include "convolve/crypto/ed25519.hpp"
 #include "convolve/crypto/keccak.hpp"
@@ -119,6 +121,26 @@ void BM_MlDsa44_Verify(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MlDsa44_Verify);
+
+// Forward plus inverse transform through the shared Montgomery core, the
+// kernel ML-DSA signing spends most of its time in. The forward output is
+// frozen first, as the inverse expects coefficients below q.
+template <class F>
+void ntt_pair(benchmark::State& state) {
+  std::array<typename F::Coeff, 256> f{};
+  for (int i = 0; i < 256; ++i) {
+    f[static_cast<std::size_t>(i)] =
+        static_cast<typename F::Coeff>((i * 31 + 7) % F::kQ);
+  }
+  for (auto _ : state) {
+    detail::ntt_forward<F>(f.data());
+    for (auto& c : f) c = detail::freeze<F>(c);
+    detail::ntt_inverse<F>(f.data());
+    benchmark::DoNotOptimize(f.data());
+  }
+}
+BENCHMARK(ntt_pair<detail::DilithiumField>)->Name("BM_MlDsa44_NttPair");
+BENCHMARK(ntt_pair<detail::KyberField>)->Name("BM_MlKem512_NttPair");
 
 void BM_MlKem512_EncapsDecaps(benchmark::State& state) {
   const auto kp = kyber::keygen(Bytes(64, 6));

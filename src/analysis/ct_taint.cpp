@@ -10,11 +10,15 @@
 #include "convolve/crypto/chacha20.hpp"
 #include "convolve/crypto/detail/aes_core.hpp"
 #include "convolve/crypto/detail/chacha_core.hpp"
+#include "convolve/crypto/detail/dilithium_rounding.hpp"
+#include "convolve/crypto/detail/ed25519_core.hpp"
 #include "convolve/crypto/detail/keccak_core.hpp"
 #include "convolve/crypto/detail/pqc_ntt.hpp"
 #include "convolve/crypto/detail/sha512_core.hpp"
+#include "convolve/crypto/ed25519.hpp"
 #include "convolve/crypto/hmac.hpp"
 #include "convolve/crypto/keccak.hpp"
+#include "convolve/crypto/sha512.hpp"
 
 namespace convolve::analysis {
 
@@ -300,115 +304,218 @@ LintResult lint_hmac_sha512() {
 
 namespace {
 
-/// Little Fermat powering for re-deriving the public twiddle tables from
-/// the spec (the production tables live in anonymous namespaces).
-std::int64_t mod_pow(std::int64_t base, std::int64_t exp, std::int64_t q) {
-  std::int64_t r = 1;
-  std::int64_t b = base % q;
-  while (exp > 0) {
-    if (exp & 1) r = r * b % q;
-    b = b * b % q;
-    exp >>= 1;
+/// The negacyclic product a * b in Z_q[X]/(X^256 + 1), schoolbook, on
+/// public values: the reference the NTT suites check their output against.
+std::vector<std::int64_t> negacyclic_product(const std::vector<std::int64_t>& a,
+                                             const std::vector<std::int64_t>& b,
+                                             std::int64_t q) {
+  const std::size_t n = a.size();
+  std::vector<std::int64_t> r(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::int64_t p = a[i] * b[j] % q;
+      if (i + j < n) {
+        r[i + j] = (r[i + j] + p) % q;
+      } else {
+        r[i + j - n] = (r[i + j - n] - p + q) % q;
+      }
+    }
   }
   return r;
 }
 
-int bitrev(int i, int bits) {
-  int r = 0;
-  for (int b = 0; b < bits; ++b) {
-    r = (r << 1) | ((i >> b) & 1);
+/// Drives a secret polynomial through the shipped Montgomery core with
+/// tainted coefficients the way the scheme does -- forward transform
+/// (frozen for Kyber, whose basemul needs 12-bit inputs), product with a
+/// public canonical polynomial, reduction of the product for Kyber,
+/// inverse, freeze -- and checks the result against the schoolbook
+/// product. Leaves the tainted, canonical product in `product`.
+template <class F>
+bool drive_ntt(std::vector<Tainted<typename F::Coeff>>& product) {
+  using C = typename F::Coeff;
+  using TC = Tainted<C>;
+  using TW = Tainted<typename F::Wide>;
+  constexpr std::size_t n = 256;
+  constexpr std::int64_t q = F::kQ;
+
+  std::vector<std::int64_t> secret(n), pub(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    secret[i] = static_cast<std::int64_t>(i * 31 + 7) % q;
+    pub[i] = static_cast<std::int64_t>(i * 1103 + 2549) % q;
   }
-  return r;
-}
+  const std::vector<std::int64_t> want = negacyclic_product(secret, pub, q);
 
-/// Drive a secret polynomial through the shared NTT template with tainted
-/// coefficients and compare against the plain instantiation. The transform
-/// is *expected* to record hazards (`%` + sign test in ntt_mod); the lint
-/// documents them rather than asserting cleanliness.
-template <class TC, class TW, class Z>
-LintResult lint_ntt(const char* suite, int n, int min_len, std::int64_t q,
-                    const std::vector<Z>& zetas, const std::vector<Z>& inv_zetas,
-                    Z n_inv) {
-  std::vector<TC> poly(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    poly[static_cast<std::size_t>(i)] =
-        static_cast<TC>((i * 31 + 7) % static_cast<int>(q));
+  std::vector<TC> a(n), b(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    a[i] = TC::secret(static_cast<C>(secret[i]));
+    b[i] = TC(static_cast<C>(pub[i]));
   }
-
-  // Plain reference: forward, then inverse round-trips back.
-  auto plain = poly;
-  cd::ntt_forward<TC, TW>(plain.data(), n, min_len, zetas.data(), q);
-
-  ScopedTaintSink guard;
-  TaintScope scope(suite);
-
-  std::vector<Tainted<TC>> tpoly(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    tpoly[static_cast<std::size_t>(i)] =
-        Tainted<TC>::secret(poly[static_cast<std::size_t>(i)]);
-  }
+  auto freeze_all = [](std::vector<TC>& v) {
+    for (auto& c : v) c = cd::freeze<F, TC, TW>(TW(c));
+  };
   {
     TaintScope s("forward");
-    cd::ntt_forward<Tainted<TC>, Tainted<TW>>(tpoly.data(), n, min_len,
-                                              zetas.data(), q);
+    cd::ntt_forward<F, TC, TW>(a.data());
+    cd::ntt_forward<F, TC, TW>(b.data());
+    freeze_all(b);
+    if constexpr (F::kMinLen == 2) freeze_all(a);
   }
-  bool matches = true;
-  for (int i = 0; i < n; ++i) {
-    matches = matches &&
-              tpoly[static_cast<std::size_t>(i)].value() ==
-                  plain[static_cast<std::size_t>(i)];
+  product.assign(n, TC());
+  {
+    TaintScope s("multiply");
+    cd::ntt_multiply<F, TC, TW>(product.data(), a.data(), b.data());
+    if constexpr (F::kMinLen == 2) {
+      for (auto& c : product) c = cd::reduce<F, TC, TW>(TW(c));
+    }
   }
   {
     TaintScope s("inverse");
-    cd::ntt_inverse<Tainted<TC>, Tainted<TW>>(tpoly.data(), n, min_len,
-                                              inv_zetas.data(), q, n_inv);
+    cd::ntt_inverse<F, TC, TW>(product.data());
+    freeze_all(product);
   }
-  for (int i = 0; i < n; ++i) {
-    matches = matches &&
-              tpoly[static_cast<std::size_t>(i)].value() ==
-                  poly[static_cast<std::size_t>(i)];
+  bool matches = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    matches = matches && product[i].value() == want[i] && product[i].tainted();
   }
-  return finish(suite, guard.sink(), matches);
+  return matches;
 }
 
 }  // namespace
 
 LintResult lint_kyber_ntt() {
-  constexpr int kN = 256;
-  constexpr std::int64_t kQ = 3329;
-  std::vector<std::int16_t> zetas(128), inv_zetas(128);
-  for (int i = 0; i < 128; ++i) {
-    zetas[static_cast<std::size_t>(i)] =
-        static_cast<std::int16_t>(mod_pow(17, bitrev(i, 7), kQ));
-    inv_zetas[static_cast<std::size_t>(i)] = static_cast<std::int16_t>(
-        mod_pow(17, (256 - bitrev(i, 7)) % 256, kQ));
-  }
-  // 128^-1 mod q (the forward transform stops at len = 2, so 128 butterfly
-  // halvings are undone).
-  const auto n_inv = static_cast<std::int16_t>(mod_pow(128, kQ - 2, kQ));
-  return lint_ntt<std::int16_t, std::int32_t>("kyber-ntt", kN, 2, kQ, zetas,
-                                              inv_zetas, n_inv);
+  ScopedTaintSink guard;
+  TaintScope scope("kyber-ntt");
+  std::vector<Tainted<std::int16_t>> product;
+  const bool matches = drive_ntt<cd::KyberField>(product);
+  return finish("kyber-ntt", guard.sink(), matches);
 }
 
 LintResult lint_dilithium_ntt() {
-  constexpr int kN = 256;
-  constexpr std::int64_t kQ = 8380417;
-  std::vector<std::int32_t> zetas(256), inv_zetas(256);
-  for (int i = 0; i < 256; ++i) {
-    zetas[static_cast<std::size_t>(i)] =
-        static_cast<std::int32_t>(mod_pow(1753, bitrev(i, 8), kQ));
-    inv_zetas[static_cast<std::size_t>(i)] = static_cast<std::int32_t>(
-        mod_pow(zetas[static_cast<std::size_t>(i)], kQ - 2, kQ));
+  using TC = Tainted<std::int32_t>;
+  using TW = Tainted<std::int64_t>;
+  ScopedTaintSink guard;
+  TaintScope scope("dilithium-ntt");
+  std::vector<TC> product;
+  bool matches = drive_ntt<cd::DilithiumField>(product);
+
+  // Rounding on the secret product, as keygen (power2round) and signing
+  // (decompose, make_hint) run it, checked against the plain instantiation.
+  TaintScope s("rounding");
+  for (std::size_t i = 0; i < product.size(); ++i) {
+    const std::int32_t v = product[i].value();
+    const std::int32_t z = static_cast<std::int32_t>(i % 157) - 78;  // public
+    TC hi, lo, r1, r0;
+    std::int32_t want_hi, want_lo, want_r1, want_r0;
+    cd::power2round(product[i], hi, lo);
+    cd::power2round(v, want_hi, want_lo);
+    cd::decompose(product[i], r1, r0);
+    cd::decompose(v, want_r1, want_r0);
+    const TC hint = cd::make_hint<TC, TW>(TC(z), product[i]);
+    const TC used = cd::use_hint(hint, product[i]);
+    const std::int32_t want_hint =
+        cd::make_hint<std::int32_t, std::int64_t>(z, v);
+    matches = matches && hi.value() == want_hi && lo.value() == want_lo &&
+              r1.value() == want_r1 && r0.value() == want_r0 &&
+              hint.value() == want_hint &&
+              used.value() == cd::use_hint(want_hint, v) && r0.tainted();
   }
-  const auto n_inv = static_cast<std::int32_t>(mod_pow(kN, kQ - 2, kQ));
-  return lint_ntt<std::int32_t, std::int64_t>("dilithium-ntt", kN, 1, kQ,
-                                              zetas, inv_zetas, n_inv);
+  return finish("dilithium-ntt", guard.sink(), matches);
+}
+
+LintResult lint_ed25519_sign() {
+  namespace ed = cd::ed25519;
+  using T128 = Tainted<unsigned __int128>;
+  std::array<std::uint8_t, 32> seed{};
+  std::vector<std::uint8_t> msg(71);
+  for (std::size_t i = 0; i < seed.size(); ++i) seed[i] = pattern(i, 0x2f);
+  for (std::size_t i = 0; i < msg.size(); ++i) msg[i] = pattern(i, 0x91);
+
+  const auto kp = crypto::ed25519_keypair(seed);
+  const auto want = crypto::ed25519_sign(kp, msg);
+
+  ScopedTaintSink guard;
+  TaintScope scope("ed25519-sign");
+
+  std::array<T8, 32> tseed;
+  for (std::size_t i = 0; i < seed.size(); ++i) tseed[i] = T8::secret(seed[i]);
+  std::array<T8, 64> h;
+  {
+    TaintScope s("expand-seed");
+    cd::sha512_hash_ct<T64>(tseed.data(), tseed.size(), h.data());
+  }
+  const std::array<T64, 4> a = ed::clamp(ed::load_words<T64, 4>(h.data()));
+  std::array<T64, 4> pk;
+  {
+    TaintScope s("public-key");
+    pk = ed::encode<T64, T128>(
+        ed::scalarmult_base<T64, T128>(a, ed::base_table()));
+  }
+
+  // r = SHA-512(prefix || M) mod l, R = r * B.
+  std::vector<T8> nonce_input(32 + msg.size());
+  for (std::size_t i = 0; i < 32; ++i) nonce_input[i] = h[32 + i];
+  for (std::size_t i = 0; i < msg.size(); ++i) nonce_input[32 + i] = T8(msg[i]);
+  std::array<T8, 64> nonce_hash;
+  std::array<T64, 4> r, commit;
+  {
+    TaintScope s("nonce");
+    cd::sha512_hash_ct<T64>(nonce_input.data(), nonce_input.size(),
+                            nonce_hash.data());
+    r = ed::sc_reduce<T64, T128>(ed::load_words<T64, 8>(nonce_hash.data()));
+  }
+  {
+    TaintScope s("commit");
+    commit = ed::encode<T64, T128>(
+        ed::scalarmult_base<T64, T128>(r, ed::base_table()));
+  }
+
+  // R and A are published; k = SHA-512(R || A || M) mod l is public.
+  std::array<std::uint8_t, 64> k_input{};
+  for (std::size_t i = 0; i < 4; ++i) {
+    store_le64(k_input.data() + 8 * i, commit[i].value());
+    store_le64(k_input.data() + 32 + 8 * i, pk[i].value());
+  }
+  crypto::Sha512 hk;
+  hk.update(k_input);
+  hk.update(msg);
+  const auto k_hash = hk.digest();
+  std::array<T64, 8> k_wide;
+  for (std::size_t i = 0; i < 8; ++i) {
+    k_wide[i] = T64(load_le64(k_hash.data() + 8 * i));
+  }
+  std::array<T64, 4> s_out;
+  {
+    TaintScope s("response");
+    s_out = ed::sc_muladd<T64, T128>(ed::sc_reduce<T64, T128>(k_wide), a, r);
+  }
+
+  bool matches = true;
+  for (std::size_t i = 0; i < 4; ++i) {
+    matches = matches &&
+              pk[i].value() == load_le64(kp.public_key.data() + 8 * i) &&
+              commit[i].value() == load_le64(want.data() + 8 * i) &&
+              s_out[i].value() == load_le64(want.data() + 32 + 8 * i) &&
+              commit[i].tainted() && s_out[i].tainted();
+  }
+  return finish("ed25519-sign", guard.sink(), matches);
 }
 
 std::vector<LintResult> lint_all() {
-  return {lint_aes256(),      lint_aes256_ctr(), lint_chacha20(),
+  return {lint_aes256(),       lint_aes256_ctr(),  lint_chacha20(),
           lint_keccak_f1600(), lint_hmac_sha512(), lint_kyber_ntt(),
-          lint_dilithium_ntt()};
+          lint_dilithium_ntt(), lint_ed25519_sign()};
+}
+
+LintResult lint_planted_hazard() {
+  ScopedTaintSink guard;
+  TaintScope scope("planted-hazard");
+  const std::uint32_t v = 0x01234567u;
+  const T32 s = T32::secret(v);
+  T32 r = s % T32(3329u);                   // division on a secret
+  if (r > T32(3329u / 2)) r = r - T32(3329u);  // branch on a secret
+  const std::uint32_t rem = v % 3329u;
+  const std::uint32_t want = rem > 3329u / 2 ? rem - 3329u : rem;
+  return finish("planted-hazard", guard.sink(), r.value() == want);
 }
 
 }  // namespace convolve::analysis

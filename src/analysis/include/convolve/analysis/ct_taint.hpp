@@ -116,10 +116,12 @@ class TaintedBool {
 
 /// An integer carrying a secrecy flag. Mirrors the implicit conversions of
 /// plain integers closely enough that the detail/ crypto templates compile
-/// unchanged with W = Tainted<...>.
+/// unchanged with W = Tainted<...>. T may also be unsigned __int128, the
+/// product type of the Ed25519 core, which strict ISO mode does not count
+/// as integral.
 template <class T>
 class Tainted {
-  static_assert(std::is_integral_v<T>);
+  static_assert(std::is_integral_v<T> || std::is_same_v<T, unsigned __int128>);
 
  public:
   using value_type = T;
@@ -265,10 +267,25 @@ LintResult lint_aes256_ctr();
 LintResult lint_chacha20();
 LintResult lint_keccak_f1600();
 LintResult lint_hmac_sha512();
+/// The Montgomery NTT core (detail/pqc_ntt.hpp) on a secret polynomial:
+/// forward transform, product in the NTT domain, inverse and freeze, as
+/// the schemes run them; the output is checked against a schoolbook
+/// negacyclic product.
 LintResult lint_kyber_ntt();
+/// The same for Dilithium, plus the rounding functions signing runs on
+/// secret coefficients (detail/dilithium_rounding.hpp).
 LintResult lint_dilithium_ntt();
+/// Ed25519 key derivation and signing (detail/ed25519_core.hpp) from a
+/// secret seed: SHA-512, the fixed-base comb, point encoding and the
+/// scalar reduction and multiply-add mod l.
+LintResult lint_ed25519_sign();
 
 /// All suites above, in that order.
 std::vector<LintResult> lint_all();
+
+/// A suite with two planted hazards, a `%` and a branch on secret values.
+/// Not part of lint_all(): ct_lint runs it only when it is named, to show
+/// that --strict fails on a real hazard.
+LintResult lint_planted_hazard();
 
 }  // namespace convolve::analysis

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "convolve/crypto/detail/dilithium_rounding.hpp"
 #include "convolve/crypto/detail/pqc_ntt.hpp"
 #include "convolve/crypto/keccak.hpp"
 
@@ -12,96 +13,54 @@ namespace convolve::crypto::dilithium {
 
 namespace {
 
-// Coefficients are kept in [0, q).
-std::int32_t mod_q(std::int64_t a) {
-  return detail::ntt_mod<std::int32_t, std::int64_t>(a, kQ);
-}
+using F = detail::DilithiumField;
 
-std::int32_t mul_q(std::int64_t a, std::int64_t b) { return mod_q(a * b); }
+// The canonical representative in [0, q).
+std::int32_t mod_q(std::int64_t a) { return detail::freeze<F>(a); }
 
 // Centered representative in [-(q-1)/2, (q-1)/2].
 std::int32_t centered(std::int32_t a) {
-  return (a > (kQ - 1) / 2) ? a - kQ : a;
+  return a - ((((kQ - 1) / 2 - a) >> 31) & kQ);
 }
 
 // ---------------------------------------------------------------------
-// NTT over Z_q[X]/(X^256+1); 1753 is a primitive 512th root of unity.
-// Tables are generated at first use from bit-reversed powers.
+// NTT over Z_q[X]/(X^256+1), the Montgomery core of detail/pqc_ntt.hpp.
+// ntt() leaves |f| < 9q, which only ever feeds a product (pointwise,
+// matvec: 9q * q summed four times stays far inside the Montgomery input
+// range). intt() expects such a Montgomery product, whose R^-1 its scale
+// cancels, and leaves (-q, q): poly_add/poly_sub, or caddq_poly where
+// rounding needs canonical coefficients, finish the reduction.
 // ---------------------------------------------------------------------
 
-int bitrev8(int i) {
-  int r = 0;
-  for (int b = 0; b < 8; ++b) r |= ((i >> b) & 1) << (7 - b);
-  return r;
+void freeze_poly(Poly& f) {
+  for (auto& c : f) c = detail::freeze<F>(c);
 }
 
-std::int32_t mod_pow(std::int64_t base, std::int64_t exp) {
-  std::int64_t result = 1;
-  base %= kQ;
-  while (exp > 0) {
-    if (exp & 1) result = result * base % kQ;
-    base = base * base % kQ;
-    exp >>= 1;
-  }
-  return static_cast<std::int32_t>(result);
+// (-q, q) -> [0, q).
+void caddq_poly(Poly& f) {
+  for (auto& c : f) c = detail::caddq<F>(c);
 }
 
-struct NttTables {
-  std::array<std::int32_t, 256> zetas{};
-  std::array<std::int32_t, 256> inv_zetas{};
-  std::int32_t n_inv;
-  NttTables() : n_inv(mod_pow(kN, kQ - 2)) {
-    for (int i = 0; i < 256; ++i) {
-      zetas[i] = mod_pow(1753, bitrev8(i));
-      inv_zetas[i] = mod_pow(zetas[i], kQ - 2);
-    }
-  }
-};
+void ntt(Poly& f) { detail::ntt_forward<F>(f.data()); }
 
-const NttTables& tables() {
-  static const NttTables t;
-  return t;
-}
-
-// Dilithium splits fully down to degree-0 factors (min_len = 1); the
-// shared butterfly template is instantiated with 32-bit coefficients and
-// 64-bit intermediates since q is 23 bits.
-void ntt(Poly& f) {
-  detail::ntt_forward<std::int32_t, std::int64_t>(f.data(), kN, 1,
-                                                  tables().zetas.data(), kQ);
-}
-
-void intt(Poly& f) {
-  detail::ntt_inverse<std::int32_t, std::int64_t>(
-      f.data(), kN, 1, tables().inv_zetas.data(), kQ, tables().n_inv);
-}
+void intt(Poly& f) { detail::ntt_inverse<F>(f.data()); }
 
 Poly pointwise(const Poly& a, const Poly& b) {
   Poly r;
-  for (int i = 0; i < kN; ++i) r[i] = mul_q(a[i], b[i]);
+  detail::ntt_multiply<F>(r.data(), a.data(), b.data());
   return r;
 }
 
 Poly poly_add(const Poly& a, const Poly& b) {
   Poly r;
-  for (int i = 0; i < kN; ++i) {
-    r[i] = mod_q(static_cast<std::int64_t>(a[i]) + b[i]);
-  }
+  for (int i = 0; i < kN; ++i) r[i] = detail::freeze<F>(a[i] + b[i]);
   return r;
 }
 
 Poly poly_sub(const Poly& a, const Poly& b) {
   Poly r;
-  for (int i = 0; i < kN; ++i) {
-    r[i] = mod_q(static_cast<std::int64_t>(a[i]) - b[i]);
-  }
+  for (int i = 0; i < kN; ++i) r[i] = detail::freeze<F>(a[i] - b[i]);
   return r;
-}
-
-std::int32_t poly_inf_norm(const Poly& a) {
-  std::int32_t m = 0;
-  for (auto c : a) m = std::max(m, std::abs(centered(c)));
-  return m;
 }
 
 template <std::size_t Len>
@@ -118,60 +77,44 @@ void vec_intt(Vec<Len>& v) {
 }
 
 template <std::size_t Len>
-std::int32_t vec_inf_norm(const Vec<Len>& v) {
-  std::int32_t m = 0;
-  for (const auto& p : v) m = std::max(m, poly_inf_norm(p));
-  return m;
+void vec_freeze(Vec<Len>& v) {
+  for (auto& p : v) freeze_poly(p);
 }
 
-// ---------------------------------------------------------------------
-// Rounding (FIPS 204 section 7.4, implemented straight from the spec).
-// ---------------------------------------------------------------------
-
-// r = r1 * 2^d + r0 with r0 in (-2^{d-1}, 2^{d-1}].
-void power2round(std::int32_t r, std::int32_t& r1, std::int32_t& r0) {
-  const std::int32_t half = 1 << (kD - 1);
-  r0 = r & ((1 << kD) - 1);
-  if (r0 > half) r0 -= (1 << kD);
-  r1 = (r - r0) >> kD;
-}
-
-// r = r1 * (2*gamma2) + r0, r0 centered; the q-1 wraparound maps to r1 = 0.
-void decompose(std::int32_t r, std::int32_t& r1, std::int32_t& r0) {
-  const std::int32_t alpha = 2 * kGamma2;
-  r0 = r % alpha;
-  if (r0 > alpha / 2) r0 -= alpha;
-  if (r - r0 == kQ - 1) {
-    r1 = 0;
-    r0 -= 1;
-  } else {
-    r1 = (r - r0) / alpha;
+// Whether some coefficient's centred magnitude reaches `bound`. Only the
+// verdict is public (it decides a rejection), so no coefficient steers a
+// branch: the sign bits of bound - 1 - |c| are ORed together.
+bool poly_norm_reaches(const Poly& p, std::int32_t bound) {
+  std::int32_t over = 0;
+  for (auto coeff : p) {
+    const std::int32_t c = centered(coeff);
+    const std::int32_t mag = c - ((c >> 31) & (2 * c));
+    over |= bound - 1 - mag;
   }
+  return over < 0;
 }
+
+template <std::size_t Len>
+bool vec_norm_reaches(const Vec<Len>& v, std::int32_t bound) {
+  bool reaches = false;
+  for (const auto& p : v) reaches |= poly_norm_reaches(p, bound);
+  return reaches;
+}
+
+// ---------------------------------------------------------------------
+// Rounding: the branch-free detail/dilithium_rounding.hpp functions.
+// ---------------------------------------------------------------------
 
 std::int32_t high_bits(std::int32_t r) {
   std::int32_t r1, r0;
-  decompose(r, r1, r0);
+  detail::decompose(r, r1, r0);
   return r1;
 }
 
 std::int32_t low_bits(std::int32_t r) {
   std::int32_t r1, r0;
-  decompose(r, r1, r0);
+  detail::decompose(r, r1, r0);
   return r0;
-}
-
-// Hint: does adding z change the high bits of r?
-bool make_hint(std::int32_t z, std::int32_t r) {
-  return high_bits(r) != high_bits(mod_q(static_cast<std::int64_t>(r) + z));
-}
-
-std::int32_t use_hint(bool hint, std::int32_t r) {
-  constexpr std::int32_t m = (kQ - 1) / (2 * kGamma2);  // 44
-  std::int32_t r1, r0;
-  decompose(r, r1, r0);
-  if (!hint) return r1;
-  return (r0 > 0) ? (r1 + 1) % m : (r1 - 1 + m) % m;
 }
 
 // ---------------------------------------------------------------------
@@ -225,14 +168,19 @@ Poly expand_s_entry(ByteView rho_prime, std::uint16_t nonce) {
 Poly sample_in_ball(ByteView c_tilde) {
   Shake xof(Shake::Variant::k256);
   xof.absorb(c_tilde);
-  std::uint8_t signs[8];
-  xof.squeeze({signs, 8});
-  std::uint64_t sign_bits = load_le64(signs);
+  std::uint8_t buf[136];  // one SHAKE256 block: 8 sign bytes, then positions
+  xof.squeeze(buf);
+  std::uint64_t sign_bits = load_le64(buf);
+  std::size_t next = 8;
   Poly c{};
   for (int i = kN - kTau; i < kN; ++i) {
-    std::uint8_t j;
+    int j;
     do {
-      xof.squeeze({&j, 1});
+      if (next == sizeof buf) {
+        xof.squeeze(buf);
+        next = 0;
+      }
+      j = buf[next++];
     } while (j > i);
     c[i] = c[j];
     c[j] = (sign_bits & 1) ? mod_q(-1) : 1;
@@ -245,8 +193,10 @@ Poly sample_in_ball(ByteView c_tilde) {
 // Bit packing.
 // ---------------------------------------------------------------------
 
-void pack_bits(Bytes& out, const Poly& f, int bits,
-               std::int32_t (*transform)(std::int32_t)) {
+// Fields are packed little-endian, `bits` per coefficient.
+template <class Transform>
+void pack_bits(Bytes& out, const Poly& f, int bits, Transform transform) {
+  out.reserve(out.size() + static_cast<std::size_t>(kN * bits / 8));
   std::uint64_t acc = 0;
   int acc_bits = 0;
   for (int i = 0; i < kN; ++i) {
@@ -264,8 +214,8 @@ void pack_bits(Bytes& out, const Poly& f, int bits,
   assert(acc_bits == 0);
 }
 
-Poly unpack_bits(const std::uint8_t*& p, int bits,
-                 std::int32_t (*transform)(std::int32_t)) {
+template <class Transform>
+Poly unpack_bits(const std::uint8_t*& p, int bits, Transform transform) {
   Poly f{};
   std::uint64_t acc = 0;
   int acc_bits = 0;
@@ -281,14 +231,42 @@ Poly unpack_bits(const std::uint8_t*& p, int bits,
   return f;
 }
 
-// Per-field transforms (raw <-> coefficient).
-std::int32_t id_fwd(std::int32_t x) { return x; }
-std::int32_t eta_fwd(std::int32_t c) { return kEta - centered(c); }
-std::int32_t eta_bwd(std::int32_t raw) { return mod_q(kEta - raw); }
-std::int32_t t0_fwd(std::int32_t c) { return (1 << (kD - 1)) - centered(c); }
-std::int32_t t0_bwd(std::int32_t raw) { return mod_q((1 << (kD - 1)) - raw); }
-std::int32_t z_fwd(std::int32_t c) { return kGamma1 - centered(c); }
-std::int32_t z_bwd(std::int32_t raw) { return mod_q(kGamma1 - raw); }
+// Per-field transforms (raw <-> coefficient), as closures so that the
+// packing loops inline them. Every unpacked value lies in (-q, q), so
+// adding q to the negative ones makes it canonical.
+constexpr auto id_fwd = [](std::int32_t x) { return x; };
+constexpr auto eta_fwd = [](std::int32_t c) { return kEta - centered(c); };
+constexpr auto eta_bwd = [](std::int32_t raw) {
+  return detail::caddq<F>(kEta - raw);
+};
+constexpr auto t0_fwd = [](std::int32_t c) {
+  return (1 << (kD - 1)) - centered(c);
+};
+constexpr auto t0_bwd = [](std::int32_t raw) {
+  return detail::caddq<F>((1 << (kD - 1)) - raw);
+};
+constexpr auto z_fwd = [](std::int32_t c) { return kGamma1 - centered(c); };
+constexpr auto z_bwd = [](std::int32_t raw) {
+  return detail::caddq<F>(kGamma1 - raw);
+};
+
+// The 18-bit fields of y and z, four per nine bytes: the signing loop
+// unpacks four such polynomials per attempt, so they get shifts by
+// constants instead of the general loop below.
+Poly unpack_gamma1(const std::uint8_t*& p) {
+  constexpr std::uint64_t m = (1u << 18) - 1;
+  Poly f;
+  for (int i = 0; i < kN; i += 4, p += 9) {
+    std::uint64_t w = 0;
+    for (int b = 0; b < 8; ++b) w |= std::uint64_t{p[b]} << (8 * b);
+    const std::uint64_t top = (w >> 54) | (std::uint64_t{p[8]} << 10);
+    f[i] = z_bwd(static_cast<std::int32_t>(w & m));
+    f[i + 1] = z_bwd(static_cast<std::int32_t>((w >> 18) & m));
+    f[i + 2] = z_bwd(static_cast<std::int32_t>((w >> 36) & m));
+    f[i + 3] = z_bwd(static_cast<std::int32_t>(top & m));
+  }
+  return f;
+}
 
 // y coefficients in [-(gamma1-1), gamma1]: 18-bit fields of the SHAKE256
 // stream, little-endian, mapped like a packed z.
@@ -301,7 +279,7 @@ Poly expand_mask_entry(ByteView rho_pp, std::uint16_t nonce) {
   std::uint8_t buf[576];
   xof.squeeze(buf);
   const std::uint8_t* p = buf;
-  return unpack_bits(p, 18, z_bwd);
+  return unpack_gamma1(p);
 }
 
 // Hint vector: omega position bytes plus k cumulative-count bytes.
@@ -375,18 +353,19 @@ Matrix expand_a(ByteView rho) {
   return a;
 }
 
-// Computes A * v_hat in the NTT domain (input and output in NTT domain).
+// A * v_hat in the NTT domain, as a Montgomery product (times R^-1): each
+// coefficient's kL products (A canonical, |v_hat| < 9q) are summed in 64
+// bits (kL * 9q * q < 2^31 * q) and reduced once.
 Vec<kK> matvec(const Matrix& a, const Vec<kL>& v_hat) {
-  Vec<kK> w{};
-  for (int i = 0; i < kK; ++i) {
-    Poly acc{};
-    for (int j = 0; j < kL; ++j) {
-      acc = poly_add(
-          acc, pointwise(
-                   a[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)],
-                   v_hat[static_cast<std::size_t>(j)]));
+  Vec<kK> w;
+  for (std::size_t i = 0; i < kK; ++i) {
+    for (int n = 0; n < kN; ++n) {
+      std::int64_t acc = 0;
+      for (std::size_t j = 0; j < kL; ++j) {
+        acc += std::int64_t{a[i][j][n]} * v_hat[j][n];
+      }
+      w[i][n] = detail::montgomery_reduce<F>(acc);
     }
-    w[static_cast<std::size_t>(i)] = acc;
   }
   return w;
 }
@@ -425,7 +404,7 @@ KeyPair keygen(ByteView seed32) {
   for (int i = 0; i < kK; ++i) {
     for (int j = 0; j < kN; ++j) {
       std::int32_t hi, lo;
-      power2round(t[static_cast<std::size_t>(i)][j], hi, lo);
+      detail::power2round(t[static_cast<std::size_t>(i)][j], hi, lo);
       t1[static_cast<std::size_t>(i)][j] = hi;
       t0[static_cast<std::size_t>(i)][j] = mod_q(lo);
     }
@@ -460,6 +439,9 @@ SigningKey expand_signing_key(ByteView sk) {
   vec_ntt(key.s1_hat);
   vec_ntt(key.s2_hat);
   vec_ntt(key.t0_hat);
+  vec_freeze(key.s1_hat);
+  vec_freeze(key.s2_hat);
+  vec_freeze(key.t0_hat);
   key.a_hat = expand_a(rho);
   return key;
 }
@@ -497,6 +479,7 @@ Bytes sign(const SigningKey& key, ByteView message) {
     vec_ntt(y_hat);
     Vec<kK> w = matvec(a, y_hat);
     vec_intt(w);
+    for (auto& p : w) caddq_poly(p);
 
     Vec<kK> w1{};
     for (int i = 0; i < kK; ++i) {
@@ -516,42 +499,39 @@ Bytes sign(const SigningKey& key, ByteView message) {
     Poly c_hat = c;
     ntt(c_hat);
 
+    // The attempt is accepted only if every norm check passes, so their
+    // order cannot change the signature. They run polynomial by polynomial,
+    // the likeliest to reject (r0, then z) first, and stop at the first
+    // rejection. Which polynomial rejects reveals nothing about the key:
+    // each coefficient exceeds its bound with a probability set by the
+    // uniform mask alone (the reference code even stops at the first such
+    // coefficient).
+    // r0 = LowBits(w - c*s2)
+    bool reject = false;
+    Vec<kK> w_minus_cs2{}, ct0{};
+    for (std::size_t i = 0; i < kK && !reject; ++i) {
+      Poly cs2 = pointwise(c_hat, s2_hat[i]);
+      intt(cs2);
+      w_minus_cs2[i] = poly_sub(w[i], cs2);
+      Poly r0;
+      for (int j = 0; j < kN; ++j) r0[j] = mod_q(low_bits(w_minus_cs2[i][j]));
+      reject = poly_norm_reaches(r0, kGamma2 - kBeta);
+    }
+
     // z = y + c*s1
     Vec<kL> z{};
-    bool reject = false;
-    for (int i = 0; i < kL; ++i) {
-      Poly cs1 = pointwise(c_hat, s1_hat[static_cast<std::size_t>(i)]);
+    for (std::size_t i = 0; i < kL && !reject; ++i) {
+      Poly cs1 = pointwise(c_hat, s1_hat[i]);
       intt(cs1);
-      z[static_cast<std::size_t>(i)] =
-          poly_add(y[static_cast<std::size_t>(i)], cs1);
-    }
-    if (vec_inf_norm<kL>(z) >= kGamma1 - kBeta) reject = true;
-
-    Vec<kK> w_minus_cs2{}, ct0{};
-    if (!reject) {
-      for (int i = 0; i < kK; ++i) {
-        Poly cs2 = pointwise(c_hat, s2_hat[static_cast<std::size_t>(i)]);
-        intt(cs2);
-        w_minus_cs2[static_cast<std::size_t>(i)] =
-            poly_sub(w[static_cast<std::size_t>(i)], cs2);
-      }
-      Vec<kK> r0{};
-      for (int i = 0; i < kK; ++i) {
-        for (int j = 0; j < kN; ++j) {
-          r0[static_cast<std::size_t>(i)][j] =
-              mod_q(low_bits(w_minus_cs2[static_cast<std::size_t>(i)][j]));
-        }
-      }
-      if (vec_inf_norm<kK>(r0) >= kGamma2 - kBeta) reject = true;
+      z[i] = poly_add(y[i], cs1);
+      reject = poly_norm_reaches(z[i], kGamma1 - kBeta);
     }
 
-    if (!reject) {
-      for (int i = 0; i < kK; ++i) {
-        Poly x = pointwise(c_hat, t0_hat[static_cast<std::size_t>(i)]);
-        intt(x);
-        ct0[static_cast<std::size_t>(i)] = x;
-      }
-      if (vec_inf_norm<kK>(ct0) >= kGamma2) reject = true;
+    for (std::size_t i = 0; i < kK && !reject; ++i) {
+      ct0[i] = pointwise(c_hat, t0_hat[i]);
+      intt(ct0[i]);
+      caddq_poly(ct0[i]);
+      reject = poly_norm_reaches(ct0[i], kGamma2);
     }
 
     if (!reject) {
@@ -566,8 +546,10 @@ Bytes sign(const SigningKey& key, ByteView message) {
               static_cast<std::int64_t>(
                   w_minus_cs2[static_cast<std::size_t>(i)][j]) +
               ct0[static_cast<std::size_t>(i)][j]);
-          const bool hint = make_hint(centered(neg_ct0), r);
-          h[static_cast<std::size_t>(i)][j] = hint ? 1 : 0;
+          const std::int32_t hint =
+              detail::make_hint<std::int32_t, std::int64_t>(centered(neg_ct0),
+                                                            r);
+          h[static_cast<std::size_t>(i)][j] = hint;
           ones += hint;
         }
       }
@@ -594,13 +576,13 @@ bool verify(ByteView pk, ByteView message, ByteView signature) {
   const ByteView c_tilde{signature.data(), 32};
   const std::uint8_t* pz = signature.data() + 32;
   Vec<kL> z{};
-  for (auto& poly : z) poly = unpack_bits(pz, 18, z_bwd);
+  for (auto& poly : z) poly = unpack_gamma1(pz);
   Vec<kK> h{};
   if (!unpack_hints({signature.data() + 32 + 576 * kL, kOmega + kK}, h)) {
     return false;
   }
   if (count_hints(h) > kOmega) return false;
-  if (vec_inf_norm<kL>(z) >= kGamma1 - kBeta) return false;
+  if (vec_norm_reaches(z, kGamma1 - kBeta)) return false;
 
   const Matrix a = expand_a(rho);
   const Bytes tr = shake256(pk, 64);
@@ -628,14 +610,15 @@ bool verify(ByteView pk, ByteView message, ByteView signature) {
     Poly ct1 = pointwise(c_hat, t1_shifted);
     Poly diff = poly_sub(az[static_cast<std::size_t>(i)], ct1);
     intt(diff);
+    caddq_poly(diff);
     w_approx[static_cast<std::size_t>(i)] = diff;
   }
 
   Vec<kK> w1{};
   for (int i = 0; i < kK; ++i) {
     for (int j = 0; j < kN; ++j) {
-      w1[static_cast<std::size_t>(i)][j] = use_hint(
-          h[static_cast<std::size_t>(i)][j] != 0,
+      w1[static_cast<std::size_t>(i)][j] = detail::use_hint(
+          h[static_cast<std::size_t>(i)][j],
           w_approx[static_cast<std::size_t>(i)][j]);
     }
   }

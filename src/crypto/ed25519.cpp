@@ -1,475 +1,108 @@
 #include "convolve/crypto/ed25519.hpp"
 
-#include <cstring>
+#include <algorithm>
 #include <stdexcept>
 
+#include "convolve/crypto/detail/ed25519_core.hpp"
 #include "convolve/crypto/sha512.hpp"
 
 namespace convolve::crypto {
 
+namespace detail::ed25519 {
+
 namespace {
 
-// ---------------------------------------------------------------------
-// Field arithmetic over GF(p), p = 2^255 - 19, radix-2^51 representation.
-// ---------------------------------------------------------------------
+using W = unsigned __int128;
 
-using u64 = std::uint64_t;
-using u128 = unsigned __int128;
-
-constexpr u64 kMask51 = (1ull << 51) - 1;
-
-struct Fe {
-  u64 v[5] = {0, 0, 0, 0, 0};
-};
-
-Fe fe_from_u64(u64 x) {
-  Fe r;
-  r.v[0] = x & kMask51;
-  r.v[1] = x >> 51;
-  return r;
+Fe<u64> fe_inv(const Fe<u64>& a) { return fe_invert<u64, W>(a); }
+Fe<u64> fe_times(const Fe<u64>& a, const Fe<u64>& b) {
+  return fe_mul<u64, W>(a, b);
 }
 
-void fe_carry(Fe& r) {
-  for (int pass = 0; pass < 2; ++pass) {
-    for (int i = 0; i < 4; ++i) {
-      r.v[i + 1] += r.v[i] >> 51;
-      r.v[i] &= kMask51;
-    }
-    r.v[0] += 19 * (r.v[4] >> 51);
-    r.v[4] &= kMask51;
-  }
+}  // namespace
+
+// d = -121665/121666 and sqrt(-1) = 2^((p-1)/4) = (2^((p-5)/8))^2 * 2,
+// derived rather than transcribed; B is the point with y = 4/5 and even x.
+const CurveConstants& curve() {
+  static const CurveConstants c = [] {
+    CurveConstants k;
+    k.d = fe_times(fe_neg(fe_const<u64>(121665)),
+                   fe_inv(fe_const<u64>(121666)));
+    k.d2 = fe_add(k.d, k.d);
+    fe_weak_reduce(k.d2);
+    const Fe<u64> two = fe_const<u64>(2);
+    k.sqrt_m1 = fe_times(fe_sq<u64, W>(fe_pow22523<u64, W>(two)), two);
+    const auto b = decode<W>(
+        fe_to_words(fe_times(fe_const<u64>(4), fe_inv(fe_const<u64>(5)))), k.d,
+        k.sqrt_m1);
+    if (!b) throw std::logic_error("ed25519: base point decode failed");
+    k.base = *b;
+    return k;
+  }();
+  return c;
 }
 
-Fe fe_add(const Fe& a, const Fe& b) {
-  Fe r;
-  for (int i = 0; i < 5; ++i) r.v[i] = a.v[i] + b.v[i];
-  fe_carry(r);
-  return r;
-}
-
-// a - b with a 2p bias so intermediate limbs never underflow.
-Fe fe_sub(const Fe& a, const Fe& b) {
-  // 2p = {2^52-38, 2^52-2, 2^52-2, 2^52-2, 2^52-2} in radix 2^51.
-  static constexpr u64 kTwoP[5] = {0xfffffffffffdaull, 0xffffffffffffeull,
-                                   0xffffffffffffeull, 0xffffffffffffeull,
-                                   0xffffffffffffeull};
-  Fe r;
-  for (int i = 0; i < 5; ++i) r.v[i] = a.v[i] + kTwoP[i] - b.v[i];
-  fe_carry(r);
-  return r;
-}
-
-Fe fe_mul(const Fe& a, const Fe& b) {
-  u128 t[5] = {0, 0, 0, 0, 0};
-  for (int i = 0; i < 5; ++i) {
-    for (int j = 0; j < 5; ++j) {
-      const u128 prod = static_cast<u128>(a.v[i]) * b.v[j];
-      const int k = i + j;
-      if (k < 5) {
-        t[k] += prod;
-      } else {
-        t[k - 5] += prod * 19;
+// The 256 multiples j * 256^i * B, brought to affine form with one batched
+// inversion (Montgomery's trick) and stored as (y + x, y - x, 2dxy).
+const BaseTable& base_table() {
+  static const BaseTable table = [] {
+    const CurveConstants& k = curve();
+    std::array<P3<u64>, 256> points;
+    P3<u64> row_base = k.base;
+    for (std::size_t i = 0; i < 32; ++i) {
+      const Cached<u64> step = to_cached<u64, W>(row_base, k.d2);
+      points[8 * i] = row_base;
+      for (std::size_t j = 1; j < 8; ++j) {
+        points[8 * i + j] =
+            to_p3<u64, W>(add<u64, W>(points[8 * i + j - 1], step));
       }
+      for (int n = 0; n < 2; ++n) row_base = times16<u64, W>(row_base);
     }
-  }
-  Fe r;
-  u128 carry = 0;
-  for (int i = 0; i < 5; ++i) {
-    t[i] += carry;
-    r.v[i] = static_cast<u64>(t[i]) & kMask51;
-    carry = t[i] >> 51;
-  }
-  r.v[0] += static_cast<u64>(carry) * 19;
-  fe_carry(r);
-  return r;
+    std::array<Fe<u64>, 256> prefix;  // z_0 * ... * z_n
+    prefix[0] = points[0].z;
+    for (std::size_t n = 1; n < 256; ++n) {
+      prefix[n] = fe_times(prefix[n - 1], points[n].z);
+    }
+    Fe<u64> inv = fe_inv(prefix[255]);  // (z_0 * ... * z_n)^-1
+    BaseTable t;
+    for (std::size_t n = 256; n-- > 0;) {
+      const Fe<u64> zinv = n == 0 ? inv : fe_times(inv, prefix[n - 1]);
+      if (n > 0) inv = fe_times(inv, points[n].z);
+      const Fe<u64> x = fe_times(points[n].x, zinv);
+      const Fe<u64> y = fe_times(points[n].y, zinv);
+      Niels<u64>& e = t[n / 8][n % 8];
+      e.ypx = fe_add(y, x);
+      fe_weak_reduce(e.ypx);
+      e.ymx = fe_sub(y, x);
+      e.xy2d = fe_times(fe_times(x, y), k.d2);
+    }
+    return t;
+  }();
+  return table;
 }
 
-Fe fe_sq(const Fe& a) { return fe_mul(a, a); }
+}  // namespace detail::ed25519
 
-Fe fe_neg(const Fe& a) { return fe_sub(Fe{}, a); }
+namespace {
 
-bool fe_is_zero(const Fe& a);
+namespace ed = detail::ed25519;
+using u64 = std::uint64_t;
+using W = unsigned __int128;
+using Words = std::array<u64, 4>;
 
-// Canonical little-endian 32-byte encoding (value fully reduced mod p).
-std::array<std::uint8_t, 32> fe_tobytes(const Fe& a) {
-  Fe t = a;
-  fe_carry(t);
-  // Pack into 4x64.
-  u64 w[4];
-  w[0] = t.v[0] | (t.v[1] << 51);
-  w[1] = (t.v[1] >> 13) | (t.v[2] << 38);
-  w[2] = (t.v[2] >> 26) | (t.v[3] << 25);
-  w[3] = (t.v[3] >> 39) | (t.v[4] << 12);
-  // Conditionally subtract p = 2^255 - 19 (value < 2^255 < 2p).
-  const u64 p[4] = {0xffffffffffffffedull, 0xffffffffffffffffull,
-                    0xffffffffffffffffull, 0x7fffffffffffffffull};
-  // Compare w >= p.
-  bool ge = true;
-  for (int i = 3; i >= 0; --i) {
-    if (w[i] > p[i]) break;
-    if (w[i] < p[i]) {
-      ge = false;
-      break;
-    }
-  }
-  if (ge) {
-    unsigned borrow = 0;
-    for (int i = 0; i < 4; ++i) {
-      const u64 sub = p[i] + borrow;
-      borrow = (w[i] < sub || (borrow && p[i] == ~0ull)) ? 1 : 0;
-      w[i] -= sub;
-    }
-  }
+std::array<std::uint8_t, 32> to_bytes(const Words& w) {
   std::array<std::uint8_t, 32> out{};
   for (int i = 0; i < 4; ++i) store_le64(out.data() + 8 * i, w[i]);
   return out;
 }
 
-Fe fe_frombytes(const std::uint8_t* p) {
-  u64 w[4];
-  for (int i = 0; i < 4; ++i) w[i] = load_le64(p + 8 * i);
-  w[3] &= 0x7fffffffffffffffull;  // ignore the sign bit
-  Fe r;
-  r.v[0] = w[0] & kMask51;
-  r.v[1] = ((w[0] >> 51) | (w[1] << 13)) & kMask51;
-  r.v[2] = ((w[1] >> 38) | (w[2] << 26)) & kMask51;
-  r.v[3] = ((w[2] >> 25) | (w[3] << 39)) & kMask51;
-  r.v[4] = (w[3] >> 12) & kMask51;
-  fe_carry(r);
-  return r;
+Words encode_base_multiple(const Words& scalar) {
+  return ed::encode<u64, W>(
+      ed::scalarmult_base<u64, W>(scalar, ed::base_table()));
 }
 
-bool fe_is_zero(const Fe& a) {
-  const auto b = fe_tobytes(a);
-  for (auto x : b)
-    if (x != 0) return false;
-  return true;
-}
-
-bool fe_equal(const Fe& a, const Fe& b) { return fe_is_zero(fe_sub(a, b)); }
-
-bool fe_is_negative(const Fe& a) { return (fe_tobytes(a)[0] & 1) != 0; }
-
-// Generic exponentiation with a little-endian 32-byte exponent.
-Fe fe_pow(const Fe& base, const std::uint8_t exponent_le[32]) {
-  Fe result = fe_from_u64(1);
-  // Left-to-right over bits 254..0 (bit 255 of our exponents is never set).
-  for (int bit = 254; bit >= 0; --bit) {
-    result = fe_sq(result);
-    if ((exponent_le[bit / 8] >> (bit % 8)) & 1) {
-      result = fe_mul(result, base);
-    }
-  }
-  return result;
-}
-
-// p - 2 (for inversion) and (p - 5) / 8 (for the sqrt candidate), little-
-// endian. p = 2^255 - 19 so p-2 = ...ffeb and (p-5)/8 = (2^255-24)/8 =
-// 2^252 - 3 = ...fffd with top byte 0x0f.
-constexpr std::uint8_t kPMinus2[32] = {
-    0xeb, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
-    0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
-    0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f};
-constexpr std::uint8_t kPMinus5Over8[32] = {
-    0xfd, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
-    0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
-    0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x0f};
-
-Fe fe_invert(const Fe& a) { return fe_pow(a, kPMinus2); }
-
-// ---------------------------------------------------------------------
-// Curve constants, computed once from first principles rather than
-// transcribed: d = -121665/121666, sqrt(-1) = 2^((p-1)/4).
-// ---------------------------------------------------------------------
-
-struct CurveConstants {
-  Fe d;
-  Fe d2;        // 2d
-  Fe sqrt_m1;   // sqrt(-1)
-  CurveConstants() {
-    d = fe_mul(fe_neg(fe_from_u64(121665)), fe_invert(fe_from_u64(121666)));
-    d2 = fe_add(d, d);
-    // (p-1)/4 = 2^253 - 5 -> little-endian bytes: 0xfb, 0xff.., top 0x1f.
-    std::uint8_t e[32];
-    std::memset(e, 0xff, 32);
-    e[0] = 0xfb;
-    e[31] = 0x1f;
-    sqrt_m1 = fe_pow(fe_from_u64(2), e);
-  }
-};
-
-const CurveConstants& constants() {
-  static const CurveConstants c;
-  return c;
-}
-
-// ---------------------------------------------------------------------
-// Group: extended twisted Edwards coordinates (X : Y : Z : T), XY = ZT.
-// ---------------------------------------------------------------------
-
-struct Point {
-  Fe x, y, z, t;
-};
-
-Point point_identity() {
-  Point p;
-  p.x = Fe{};
-  p.y = fe_from_u64(1);
-  p.z = fe_from_u64(1);
-  p.t = Fe{};
-  return p;
-}
-
-// add-2008-hwcd-3 for a = -1 twisted Edwards curves.
-Point point_add(const Point& p, const Point& q) {
-  const Fe a = fe_mul(fe_sub(p.y, p.x), fe_sub(q.y, q.x));
-  const Fe b = fe_mul(fe_add(p.y, p.x), fe_add(q.y, q.x));
-  const Fe c = fe_mul(fe_mul(p.t, constants().d2), q.t);
-  const Fe d = fe_mul(fe_add(p.z, p.z), q.z);
-  const Fe e = fe_sub(b, a);
-  const Fe f = fe_sub(d, c);
-  const Fe g = fe_add(d, c);
-  const Fe h = fe_add(b, a);
-  Point r;
-  r.x = fe_mul(e, f);
-  r.y = fe_mul(g, h);
-  r.t = fe_mul(e, h);
-  r.z = fe_mul(f, g);
-  return r;
-}
-
-// dbl-2008-hwcd for a = -1.
-Point point_double(const Point& p) {
-  const Fe a = fe_sq(p.x);
-  const Fe b = fe_sq(p.y);
-  const Fe c = fe_add(fe_sq(p.z), fe_sq(p.z));
-  const Fe d = fe_neg(a);
-  const Fe e = fe_sub(fe_sub(fe_sq(fe_add(p.x, p.y)), a), b);
-  const Fe g = fe_add(d, b);
-  const Fe f = fe_sub(g, c);
-  const Fe h = fe_sub(d, b);
-  Point r;
-  r.x = fe_mul(e, f);
-  r.y = fe_mul(g, h);
-  r.t = fe_mul(e, h);
-  r.z = fe_mul(f, g);
-  return r;
-}
-
-// Scalar multiplication, scalar as 32 little-endian bytes.
-Point point_scalar_mul(const Point& p, const std::uint8_t scalar_le[32]) {
-  Point r = point_identity();
-  for (int bit = 255; bit >= 0; --bit) {
-    r = point_double(r);
-    if ((scalar_le[bit / 8] >> (bit % 8)) & 1) {
-      r = point_add(r, p);
-    }
-  }
-  return r;
-}
-
-std::array<std::uint8_t, 32> point_compress(const Point& p) {
-  const Fe zinv = fe_invert(p.z);
-  const Fe x = fe_mul(p.x, zinv);
-  const Fe y = fe_mul(p.y, zinv);
-  auto out = fe_tobytes(y);
-  if (fe_is_negative(x)) out[31] |= 0x80;
-  return out;
-}
-
-std::optional<Point> point_decompress(const std::uint8_t encoded[32]) {
-  const Fe y = fe_frombytes(encoded);
-  const bool sign = (encoded[31] & 0x80) != 0;
-  // x^2 = (y^2 - 1) / (d*y^2 + 1)
-  const Fe yy = fe_sq(y);
-  const Fe u = fe_sub(yy, fe_from_u64(1));
-  const Fe v = fe_add(fe_mul(constants().d, yy), fe_from_u64(1));
-  // Candidate root: x = u * v^3 * (u * v^7)^((p-5)/8)
-  const Fe v3 = fe_mul(fe_sq(v), v);
-  const Fe v7 = fe_mul(fe_sq(v3), v);
-  Fe x = fe_mul(fe_mul(u, v3), fe_pow(fe_mul(u, v7), kPMinus5Over8));
-  const Fe vxx = fe_mul(v, fe_sq(x));
-  if (!fe_equal(vxx, u)) {
-    if (fe_equal(vxx, fe_neg(u))) {
-      x = fe_mul(x, constants().sqrt_m1);
-    } else {
-      return std::nullopt;  // not a curve point
-    }
-  }
-  if (fe_is_zero(x) && sign) return std::nullopt;  // -0 is invalid
-  if (fe_is_negative(x) != sign) x = fe_neg(x);
-  Point p;
-  p.x = x;
-  p.y = y;
-  p.z = fe_from_u64(1);
-  p.t = fe_mul(x, y);
-  return p;
-}
-
-const Point& base_point() {
-  static const Point b = [] {
-    // y = 4/5 mod p, sign(x) = 0.
-    const Fe y = fe_mul(fe_from_u64(4), fe_invert(fe_from_u64(5)));
-    auto enc = fe_tobytes(y);
-    const auto p = point_decompress(enc.data());
-    if (!p) throw std::logic_error("ed25519: base point decompress failed");
-    return *p;
-  }();
-  return b;
-}
-
-// ---------------------------------------------------------------------
-// Scalar arithmetic mod L = 2^252 + 27742317777372353535851937790883648493.
-// Values are held in a 9x64 accumulator; reduction is binary long division
-// (slow, simple, correct).
-// ---------------------------------------------------------------------
-
-struct Wide {
-  u64 w[9] = {};  // little-endian limbs
-};
-
-int wide_bits(const Wide& a) {
-  for (int i = 8; i >= 0; --i) {
-    if (a.w[i] != 0) {
-      int bit = 63;
-      while (((a.w[i] >> bit) & 1) == 0) --bit;
-      return 64 * i + bit + 1;
-    }
-  }
-  return 0;
-}
-
-// a >= (b << shift)?
-bool wide_ge_shifted(const Wide& a, const Wide& b, int shift) {
-  // Compute c = b << shift into a temp (shift < 320 in practice).
-  Wide c;
-  const int word = shift / 64;
-  const int bits = shift % 64;
-  for (int i = 8; i >= 0; --i) {
-    u64 v = 0;
-    if (i - word >= 0) v = b.w[i - word] << bits;
-    if (bits != 0 && i - word - 1 >= 0) v |= b.w[i - word - 1] >> (64 - bits);
-    c.w[i] = v;
-  }
-  for (int i = 8; i >= 0; --i) {
-    if (a.w[i] != c.w[i]) return a.w[i] > c.w[i];
-  }
-  return true;
-}
-
-void wide_sub_shifted(Wide& a, const Wide& b, int shift) {
-  Wide c;
-  const int word = shift / 64;
-  const int bits = shift % 64;
-  for (int i = 8; i >= 0; --i) {
-    u64 v = 0;
-    if (i - word >= 0) v = b.w[i - word] << bits;
-    if (bits != 0 && i - word - 1 >= 0) v |= b.w[i - word - 1] >> (64 - bits);
-    c.w[i] = v;
-  }
-  unsigned borrow = 0;
-  for (int i = 0; i < 9; ++i) {
-    const u64 rhs = c.w[i];
-    const u64 old = a.w[i];
-    a.w[i] = old - rhs - borrow;
-    borrow = (old < rhs + borrow || (borrow && rhs == ~0ull)) ? 1 : 0;
-  }
-}
-
-const Wide& order_l() {
-  static const Wide l = [] {
-    Wide x;
-    // L little-endian.
-    const std::uint8_t bytes[32] = {
-        0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58, 0xd6, 0x9c, 0xf7,
-        0xa2, 0xde, 0xf9, 0xde, 0x14, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10};
-    for (int i = 0; i < 4; ++i) x.w[i] = load_le64(bytes + 8 * i);
-    return x;
-  }();
-  return l;
-}
-
-// Reduce in place mod L via binary long division.
-void wide_mod_l(Wide& a) {
-  const Wide& l = order_l();
-  int abits = wide_bits(a);
-  while (abits >= 253) {
-    const int shift = abits - 253;
-    if (wide_ge_shifted(a, l, shift)) {
-      wide_sub_shifted(a, l, shift);
-    } else if (shift > 0) {
-      wide_sub_shifted(a, l, shift - 1);
-    } else {
-      break;
-    }
-    abits = wide_bits(a);
-  }
-  if (wide_ge_shifted(a, l, 0)) wide_sub_shifted(a, l, 0);
-}
-
-Wide wide_from_bytes(ByteView le_bytes) {
-  Wide a;
-  for (std::size_t i = 0; i < le_bytes.size() && i < 72; ++i) {
-    a.w[i / 8] |= static_cast<u64>(le_bytes[i]) << (8 * (i % 8));
-  }
-  return a;
-}
-
-std::array<std::uint8_t, 32> wide_to_scalar_bytes(const Wide& a) {
-  std::array<std::uint8_t, 32> out{};
-  for (int i = 0; i < 4; ++i) store_le64(out.data() + 8 * i, a.w[i]);
-  return out;
-}
-
-// r = (a * b + c) mod L, all inputs 32-byte little-endian scalars.
-std::array<std::uint8_t, 32> sc_muladd(const std::uint8_t a[32],
-                                       const std::uint8_t b[32],
-                                       const std::uint8_t c[32]) {
-  const Wide wa = wide_from_bytes({a, 32});
-  const Wide wb = wide_from_bytes({b, 32});
-  Wide prod;
-  for (int i = 0; i < 4; ++i) {
-    u128 carry = 0;
-    for (int j = 0; j < 4; ++j) {
-      const u128 cur = static_cast<u128>(wa.w[i]) * wb.w[j] + prod.w[i + j] +
-                       carry;
-      prod.w[i + j] = static_cast<u64>(cur);
-      carry = cur >> 64;
-    }
-    prod.w[i + 4] += static_cast<u64>(carry);
-  }
-  // prod += c
-  u128 carry = 0;
-  const Wide wc = wide_from_bytes({c, 32});
-  for (int i = 0; i < 9; ++i) {
-    const u128 cur = static_cast<u128>(prod.w[i]) + wc.w[i] + carry;
-    prod.w[i] = static_cast<u64>(cur);
-    carry = cur >> 64;
-  }
-  wide_mod_l(prod);
-  return wide_to_scalar_bytes(prod);
-}
-
-std::array<std::uint8_t, 32> sc_reduce512(const std::uint8_t h[64]) {
-  Wide a = wide_from_bytes({h, 64});
-  wide_mod_l(a);
-  return wide_to_scalar_bytes(a);
-}
-
-bool sc_is_canonical(const std::uint8_t s[32]) {
-  const Wide a = wide_from_bytes({s, 32});
-  return !wide_ge_shifted(a, order_l(), 0);
-}
-
-std::array<std::uint8_t, 32> clamp_seed_hash(
-    const std::array<std::uint8_t, 64>& h) {
-  std::array<std::uint8_t, 32> s{};
-  std::copy(h.begin(), h.begin() + 32, s.begin());
-  s[0] &= 0xf8;
-  s[31] &= 0x7f;
-  s[31] |= 0x40;
-  return s;
+Words clamped_secret(const std::array<std::uint8_t, 64>& h) {
+  return ed::clamp(ed::load_words<u64, 4>(h.data()));
 }
 
 }  // namespace
@@ -481,58 +114,65 @@ Ed25519KeyPair ed25519_keypair(ByteView seed) {
   Ed25519KeyPair kp;
   std::copy(seed.begin(), seed.end(), kp.seed.begin());
   const auto h = Sha512::hash(seed);
-  const auto s = clamp_seed_hash(h);
-  kp.public_key = point_compress(point_scalar_mul(base_point(), s.data()));
+  kp.public_key = to_bytes(encode_base_multiple(clamped_secret(h)));
   return kp;
 }
 
 std::array<std::uint8_t, 64> ed25519_sign(const Ed25519KeyPair& kp,
                                           ByteView message) {
   const auto h = Sha512::hash({kp.seed.data(), kp.seed.size()});
-  const auto s = clamp_seed_hash(h);
+  const Words a = clamped_secret(h);
 
-  // r = SHA512(prefix || M) mod L
+  // r = SHA512(prefix || M) mod l
   Sha512 hr;
   hr.update({h.data() + 32, 32});
   hr.update(message);
-  const auto r = sc_reduce512(hr.digest().data());
+  const Words r =
+      ed::sc_reduce<u64, W>(ed::load_words<u64, 8>(hr.digest().data()));
 
-  const auto r_enc = point_compress(point_scalar_mul(base_point(), r.data()));
+  const auto r_enc = to_bytes(encode_base_multiple(r));
 
-  // k = SHA512(R || A || M) mod L
+  // k = SHA512(R || A || M) mod l
   Sha512 hk;
   hk.update({r_enc.data(), 32});
   hk.update({kp.public_key.data(), 32});
   hk.update(message);
-  const auto k = sc_reduce512(hk.digest().data());
+  const Words k =
+      ed::sc_reduce<u64, W>(ed::load_words<u64, 8>(hk.digest().data()));
 
-  const auto s_out = sc_muladd(k.data(), s.data(), r.data());
+  const auto s = to_bytes(ed::sc_muladd<u64, W>(k, a, r));
 
   std::array<std::uint8_t, 64> sig{};
   std::copy(r_enc.begin(), r_enc.end(), sig.begin());
-  std::copy(s_out.begin(), s_out.end(), sig.begin() + 32);
+  std::copy(s.begin(), s.end(), sig.begin() + 32);
   return sig;
 }
 
 bool ed25519_verify(ByteView public_key, ByteView message,
                     ByteView signature) {
   if (public_key.size() != 32 || signature.size() != 64) return false;
-  const auto a = point_decompress(public_key.data());
+  const ed::CurveConstants& c = ed::curve();
+  const auto a =
+      ed::decode<W>(ed::load_words<u64, 4>(public_key.data()), c.d, c.sqrt_m1);
   if (!a) return false;
-  const auto r = point_decompress(signature.data());
+  const auto r =
+      ed::decode<W>(ed::load_words<u64, 4>(signature.data()), c.d, c.sqrt_m1);
   if (!r) return false;
-  if (!sc_is_canonical(signature.data() + 32)) return false;
+  const Words s = ed::load_words<u64, 4>(signature.data() + 32);
+  if (!ed::sc_is_canonical(s)) return false;
 
   Sha512 hk;
   hk.update(signature.first(32));
   hk.update(public_key);
   hk.update(message);
-  const auto k = sc_reduce512(hk.digest().data());
+  const Words k =
+      ed::sc_reduce<u64, W>(ed::load_words<u64, 8>(hk.digest().data()));
 
   // Check S*B == R + k*A.
-  const Point lhs = point_scalar_mul(base_point(), signature.data() + 32);
-  const Point rhs = point_add(*r, point_scalar_mul(*a, k.data()));
-  return point_compress(lhs) == point_compress(rhs);
+  const ed::P3<u64> lhs = ed::scalarmult_base<u64, W>(s, ed::base_table());
+  const ed::P3<u64> rhs = ed::to_p3<u64, W>(ed::add<u64, W>(
+      ed::scalarmult<W>(k, *a, c.d2), ed::to_cached<u64, W>(*r, c.d2)));
+  return ed::encode<u64, W>(lhs) == ed::encode<u64, W>(rhs);
 }
 
 }  // namespace convolve::crypto

@@ -5,9 +5,12 @@
 // the classical baseline. This implementation is complete and from scratch:
 // GF(2^255-19) arithmetic on 5x51-bit limbs, extended twisted-Edwards group
 // law, point compression/decompression and scalar arithmetic mod the group
-// order L. It favours obviously-correct over fast (generic exponentiation
-// ladders, binary reduction mod L); signing a report costs ~1 ms, which is
-// irrelevant at attestation frequency. Validated against RFC 8032 vectors.
+// order L, all in detail/ed25519_core.hpp. Key derivation and signing are
+// constant-time -- a fixed-base signed radix-16 comb that scans every table
+// entry under a mask, a fixed inversion chain and Barrett reduction mod L
+// -- and ct_lint's ed25519-sign suite checks exactly that code. Verify
+// handles only public data and may branch on it. Validated against RFC
+// 8032 vectors.
 #pragma once
 
 #include <array>

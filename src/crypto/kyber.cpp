@@ -14,83 +14,36 @@ namespace {
 using Poly = std::array<std::int16_t, kN>;
 using PolyVec = std::array<Poly, kK>;
 
+using F = detail::KyberField;
+
 // ---------------------------------------------------------------------
-// Modular helpers. q is tiny, so plain 32-bit arithmetic suffices.
+// Arithmetic mod q on the int16 Montgomery core of detail/pqc_ntt.hpp.
+// Polynomials are canonical, in [0, q), between operations.
 // ---------------------------------------------------------------------
 
-std::int16_t mod_q(std::int32_t a) {
-  return detail::ntt_mod<std::int16_t, std::int32_t>(a, kQ);
-}
-
-std::int16_t mul_q(std::int32_t a, std::int32_t b) { return mod_q(a * b); }
+std::int16_t mod_q(std::int32_t a) { return detail::freeze<F>(a); }
 
 // Centered representative in (-q/2, q/2].
 std::int32_t centered(std::int16_t a) {
-  std::int32_t r = a;
-  if (r > kQ / 2) r -= kQ;
-  return r;
+  const std::int32_t r = a;
+  return r - (((kQ / 2 - r) >> 31) & kQ);
 }
 
-// ---------------------------------------------------------------------
-// NTT. zeta = 17 is a primitive 256th root of unity mod q. The tables are
-// generated at first use (bit-reversed powers), not transcribed.
-// ---------------------------------------------------------------------
-
-int bitrev7(int i) {
-  int r = 0;
-  for (int b = 0; b < 7; ++b) {
-    r |= ((i >> b) & 1) << (6 - b);
-  }
-  return r;
+void freeze_poly(Poly& f) {
+  for (auto& c : f) c = mod_q(c);
 }
 
-struct NttTables {
-  std::array<std::int16_t, 128> zetas{};      // 17^bitrev7(i)
-  std::array<std::int16_t, 128> inv_zetas{};  // 17^(-bitrev7(i))
-  std::array<std::int16_t, 128> gammas{};     // 17^(2*bitrev7(i)+1)
-  NttTables() {
-    std::array<std::int16_t, 256> pow{};
-    pow[0] = 1;
-    for (int i = 1; i < 256; ++i) pow[i] = mul_q(pow[i - 1], 17);
-    for (int i = 0; i < 128; ++i) {
-      zetas[i] = pow[bitrev7(i)];
-      inv_zetas[i] = pow[(256 - bitrev7(i)) % 256];
-      gammas[i] = pow[(2 * bitrev7(i) + 1) % 256];
-    }
-  }
-};
-
-const NttTables& tables() {
-  static const NttTables t;
-  return t;
-}
-
-// Kyber splits down to 128 degree-1 factors (min_len = 2); the shared
-// Cooley-Tukey / Gentleman-Sande template in detail/pqc_ntt.hpp does the
-// butterflies, parameterized here with 16-bit coefficients and 32-bit
-// intermediate arithmetic. 128^{-1} = 3303 mod q.
+// Kyber splits down to 128 degree-1 factors (min_len = 2).
 void ntt(Poly& f) {
-  detail::ntt_forward<std::int16_t, std::int32_t>(f.data(), kN, 2,
-                                                  tables().zetas.data(), kQ);
+  detail::ntt_forward<F>(f.data());
+  freeze_poly(f);
 }
 
+// Expects a Montgomery product (times R^-1, |f| < q), whose R^-1 the
+// inverse scale cancels.
 void intt(Poly& f) {
-  detail::ntt_inverse<std::int16_t, std::int32_t>(
-      f.data(), kN, 2, tables().inv_zetas.data(), kQ,
-      static_cast<std::int16_t>(3303));
-}
-
-// Pairwise multiplication in the NTT domain (128 degree-1 factors).
-Poly basemul(const Poly& a, const Poly& b) {
-  Poly r{};
-  for (int i = 0; i < 128; ++i) {
-    const std::int16_t g = tables().gammas[i];
-    const std::int16_t a0 = a[2 * i], a1 = a[2 * i + 1];
-    const std::int16_t b0 = b[2 * i], b1 = b[2 * i + 1];
-    r[2 * i] = mod_q(mul_q(a0, b0) + mul_q(mul_q(a1, b1), g));
-    r[2 * i + 1] = mod_q(mul_q(a0, b1) + mul_q(a1, b0));
-  }
-  return r;
+  detail::ntt_inverse<F>(f.data());
+  freeze_poly(f);
 }
 
 Poly poly_add(const Poly& a, const Poly& b) {
@@ -222,22 +175,25 @@ Matrix expand_a(ByteView rho, bool transposed) {
   return a;
 }
 
-PolyVec matvec_ntt(const Matrix& a, const PolyVec& s_hat) {
-  PolyVec t{};
-  for (int i = 0; i < kK; ++i) {
-    Poly acc{};
-    for (int j = 0; j < kK; ++j) {
-      acc = poly_add(acc, basemul(a.rows[i][j], s_hat[j]));
-    }
-    t[i] = acc;
-  }
-  return t;
-}
-
+// sum_j a[j] o b[j] in the NTT domain, times R^-1 and reduced to |.| < q
+// (each basemul is below 2q, so the kK-term sum fits an int16).
 Poly dot_ntt(const PolyVec& a, const PolyVec& b) {
   Poly acc{};
-  for (int i = 0; i < kK; ++i) acc = poly_add(acc, basemul(a[i], b[i]));
+  for (int j = 0; j < kK; ++j) {
+    Poly prod;
+    detail::ntt_multiply<F>(prod.data(), a[j].data(), b[j].data());
+    for (int i = 0; i < kN; ++i) {
+      acc[i] = static_cast<std::int16_t>(acc[i] + prod[i]);
+    }
+  }
+  for (auto& c : acc) c = detail::reduce<F>(c);
   return acc;
+}
+
+PolyVec matvec_ntt(const Matrix& a, const PolyVec& s_hat) {
+  PolyVec t{};
+  for (int i = 0; i < kK; ++i) t[i] = dot_ntt(a.rows[i], s_hat);
+  return t;
 }
 
 }  // namespace
@@ -256,8 +212,13 @@ PkeKeyPair pke_keygen(ByteView d32) {
   for (auto& p : s) ntt(p);
   for (auto& p : e) ntt(p);
 
+  // t = A s + e: multiplying by R^2 (Montgomery) cancels matvec's R^-1.
+  constexpr auto kR2 = static_cast<std::int16_t>((1ll << 32) % kQ);
   PolyVec t = matvec_ntt(a, s);
-  for (int i = 0; i < kK; ++i) t[i] = poly_add(t[i], e[i]);
+  for (int i = 0; i < kK; ++i) {
+    for (auto& c : t[i]) c = detail::mont_mul<F>(c, kR2);
+    t[i] = poly_add(t[i], e[i]);
+  }
 
   PkeKeyPair kp;
   for (int i = 0; i < kK; ++i) pack_bits(t[i], 12, kp.pk);

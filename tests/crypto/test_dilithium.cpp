@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "convolve/common/rng.hpp"
+#include "convolve/crypto/detail/dilithium_rounding.hpp"
 #include "convolve/crypto/keccak.hpp"
 
 namespace convolve::crypto::dilithium {
@@ -127,6 +128,83 @@ TEST(Dilithium, ExpandedKeyMatchesPackedKeyOnSeededPairs) {
       EXPECT_TRUE(verify(kp.pk, msg, sig)) << "pair " << i << " message " << m;
     }
   }
+}
+
+// FIPS 204 section 7.4 as written in the spec, with `%`, `/` and branches:
+// the oracle for the branch-free detail/dilithium_rounding.hpp functions.
+namespace spec {
+
+std::int32_t mod_q(std::int64_t a) {
+  std::int64_t r = a % kQ;
+  if (r < 0) r += kQ;
+  return static_cast<std::int32_t>(r);
+}
+
+void power2round(std::int32_t r, std::int32_t& r1, std::int32_t& r0) {
+  const std::int32_t half = 1 << (kD - 1);
+  r0 = r & ((1 << kD) - 1);
+  if (r0 > half) r0 -= (1 << kD);
+  r1 = (r - r0) >> kD;
+}
+
+void decompose(std::int32_t r, std::int32_t& r1, std::int32_t& r0) {
+  const std::int32_t alpha = 2 * kGamma2;
+  r0 = r % alpha;
+  if (r0 > alpha / 2) r0 -= alpha;
+  if (r - r0 == kQ - 1) {
+    r1 = 0;
+    r0 -= 1;
+  } else {
+    r1 = (r - r0) / alpha;
+  }
+}
+
+std::int32_t high_bits(std::int32_t r) {
+  std::int32_t r1, r0;
+  decompose(r, r1, r0);
+  return r1;
+}
+
+bool make_hint(std::int32_t z, std::int32_t r) {
+  return high_bits(r) != high_bits(mod_q(static_cast<std::int64_t>(r) + z));
+}
+
+std::int32_t use_hint(bool hint, std::int32_t r) {
+  constexpr std::int32_t m = (kQ - 1) / (2 * kGamma2);
+  std::int32_t r1, r0;
+  decompose(r, r1, r0);
+  if (!hint) return r1;
+  return (r0 > 0) ? (r1 + 1) % m : (r1 - 1 + m) % m;
+}
+
+}  // namespace spec
+
+// Every r in [0, q): power2round, decompose, make_hint (against a seeded
+// centred z, the range signing passes) and use_hint with either hint.
+TEST(DilithiumRounding, BranchFreeMatchesSpecOnEveryCoefficient) {
+  Xoshiro256 rng(0x70D1u);
+  std::int64_t mismatches = 0;
+  for (std::int32_t r = 0; r < kQ; ++r) {
+    std::int32_t a1, a0, b1, b0;
+    detail::power2round(r, a1, a0);
+    spec::power2round(r, b1, b0);
+    mismatches += (a1 != b1) + (a0 != b0);
+    detail::decompose(r, a1, a0);
+    spec::decompose(r, b1, b0);
+    mismatches += (a1 != b1) + (a0 != b0);
+    const auto z = static_cast<std::int32_t>(rng.uniform(2 * kGamma2 - 1)) -
+                   (kGamma2 - 1);
+    const std::int32_t hint =
+        detail::make_hint<std::int32_t, std::int64_t>(z, r);
+    mismatches += hint != static_cast<std::int32_t>(spec::make_hint(z, r));
+    mismatches += detail::use_hint(0, r) != spec::use_hint(false, r);
+    mismatches += detail::use_hint(1, r) != spec::use_hint(true, r);
+    if (mismatches != 0) {
+      ADD_FAILURE() << "first mismatch at r = " << r << ", z = " << z;
+      break;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
 }
 
 }  // namespace

@@ -3,9 +3,8 @@
 //
 // Usage: ct_lint [--strict] [--suppressions=FILE] [suite...]
 //   --strict   exit nonzero if any suite records an output mismatch or an
-//              unsuppressed hazard. Every suite is enforced; known hazards
-//              in reference implementations (the NTT suites) must be
-//              acknowledged explicitly through the suppression file.
+//              unsuppressed hazard. Every suite is enforced; a known hazard
+//              must be acknowledged explicitly through the suppression file.
 //   --suppressions=FILE  load suppression rules. One rule per line:
 //                  suite:hazard-name:context-substring
 //              '*' matches any value in that field; the context field
@@ -13,7 +12,9 @@
 //              matching any rule is printed as suppressed and does not
 //              fail the run. Rules that never match are reported (stale
 //              suppressions hide regressions).
-//   suite...   restrict to the named suites (default: all).
+//   suite...   restrict to the named suites (default: all). The suite
+//              `planted-hazard` runs only when named: it plants a `%` and
+//              a branch on secret values, so --strict must fail on it.
 //   --threads N  worker threads for the parallel suites (also settable via
 //              CONVOLVE_THREADS; default: hardware concurrency).
 //   --trace-out=FILE    write a chrome://tracing span file for the run.
@@ -187,7 +188,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto results = convolve::analysis::lint_all();
+  auto results = convolve::analysis::lint_all();
+  if (only.count("planted-hazard") != 0) {
+    results.push_back(convolve::analysis::lint_planted_hazard());
+  }
   // A filter naming no real suite must not silently pass the gate.
   for (const auto& name : only) {
     bool known = false;

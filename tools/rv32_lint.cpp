@@ -19,6 +19,8 @@
 //
 // Exit status: 0 when the image is clean (unreachable-code findings are
 // informational), 1 when any other finding fires, 2 on usage/IO errors.
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -28,6 +30,7 @@
 
 #include "bench/bench_report.hpp"
 #include "convolve/analysis/rv32static/analyze.hpp"
+#include "convolve/common/cli.hpp"
 #include "convolve/tee/rv32.hpp"
 
 namespace {
@@ -35,11 +38,34 @@ namespace {
 using namespace convolve;
 using namespace convolve::analysis::rv32static;
 
+// An unsigned number, decimal or 0x-prefixed hex (a leading 0 means
+// octal, as for strtoull's base 0), with nothing around it: strtoull alone
+// would also take a sign (wrapping "-1" to 2^64 - 1), leading spaces and
+// overflowing values.
 bool parse_u64(const std::string& text, std::uint64_t& out) {
-  if (text.empty()) return false;
+  if (text.empty() || std::isdigit(static_cast<unsigned char>(text[0])) == 0) {
+    return false;
+  }
+  errno = 0;
   char* end = nullptr;
   out = std::strtoull(text.c_str(), &end, 0);
-  return end != nullptr && *end == '\0';
+  return errno == 0 && end != nullptr && *end == '\0';
+}
+
+// An RV32 address for flag `arg`: parse_u64's syntax and at most
+// 0xffffffff, else a usage error (exit 2). Truncating instead would lint
+// a different image than the one asked for.
+std::uint32_t parse_address(const std::string& text, const std::string& arg,
+                            const std::string& usage) {
+  std::uint64_t value = 0;
+  if (!parse_u64(text, value)) {
+    cli::usage_error("rv32_lint: bad address in '" + arg + "'", usage);
+  }
+  if (value > 0xffffffffull) {
+    cli::usage_error("rv32_lint: address in '" + arg + "' is above 0xffffffff",
+                     usage);
+  }
+  return static_cast<std::uint32_t>(value);
 }
 
 bool parse_range(const std::string& text, AddrRange& out) {
@@ -150,6 +176,13 @@ int main(int argc, char** argv) {
   bool demo = false;
   bool have_entry = false;
   bench::ReportOptions report_opts;
+  const std::string usage =
+      std::string("usage: rv32_lint (--image=FILE | --demo) [--base=ADDR] "
+                  "[--entry=ADDR]\n"
+                  "    [--mode=u|s|m] [--secret-range=LO:HI ...] "
+                  "[--pmp-policy=FILE]\n"
+                  "    [--memory=BYTES] ") +
+      bench::report_flags_usage();
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -162,11 +195,10 @@ int main(int argc, char** argv) {
       image_path = arg.substr(8);
     } else if (arg.rfind("--pmp-policy=", 0) == 0) {
       policy_path = arg.substr(13);
-    } else if (arg.rfind("--base=", 0) == 0 && parse_u64(arg.substr(7), value)) {
-      image.base = static_cast<std::uint32_t>(value);
-    } else if (arg.rfind("--entry=", 0) == 0 &&
-               parse_u64(arg.substr(8), value)) {
-      image.entry = static_cast<std::uint32_t>(value);
+    } else if (arg.rfind("--base=", 0) == 0) {
+      image.base = parse_address(arg.substr(7), arg, usage);
+    } else if (arg.rfind("--entry=", 0) == 0) {
+      image.entry = parse_address(arg.substr(8), arg, usage);
       have_entry = true;
     } else if (arg.rfind("--memory=", 0) == 0 &&
                parse_u64(arg.substr(9), value)) {
@@ -189,16 +221,7 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else {
-      std::fprintf(stderr, "rv32_lint: unknown option '%s'\n", argv[i]);
-      std::fprintf(
-          stderr,
-          "usage: rv32_lint (--image=FILE | --demo) [--base=ADDR] "
-          "[--entry=ADDR]\n"
-          "    [--mode=u|s|m] [--secret-range=LO:HI ...] "
-          "[--pmp-policy=FILE]\n"
-          "    [--memory=BYTES] %s\n",
-          bench::report_flags_usage());
-      return 2;
+      cli::usage_error("rv32_lint: unknown option '" + arg + "'", usage);
     }
   }
 
